@@ -439,104 +439,6 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("path=interpreted/workers=%d", workers),
 			sweepBench("interpreted", workers, true, false, 0))
 	}
-	// Distributed-sweep overhead, measured paired: each iteration runs one
-	// checkpointed single-process sweep (the predict plus its checkpoint
-	// write) and one 4-shard run over the same space — four SweepShard
-	// calls plus the merge, the exact work `dse -shard`/-merge processes
-	// split — back to back on fresh explorers. Two numbers come out, with
-	// different semantics:
-	//
-	//   shard_walltime_overhead_pct — the raw wall-clock ratio of the
-	//   sharded run (all shards sequentially on THIS host, plus merge) to
-	//   the single-process run. On a host with fewer CPUs than shards the
-	//   shards time-slice one another, so this number is dominated by
-	//   oversubscription and is expected to be huge (hundreds of percent
-	//   on the 1-CPU container); oversubscribed=true flags that regime.
-	//
-	//   shard_overhead_pct — the per-point cost of distribution itself:
-	//   the single-process prediction rate divided by the aggregate of
-	//   the per-shard rates (each shard's points over its own running
-	//   time), minus one. This models N dedicated hosts, where shards do
-	//   not compete for cores, and isolates what sharding adds per point
-	//   (per-chunk shard checkpoints, partition bookkeeping); the merge
-	//   pass is reported separately as shard_merge_ms. This is the
-	//   regression signal for the shard/merge layer, not a speedup claim
-	//   (BENCH_train.json's simulation-bound variant shows the realistic
-	//   low-single-digit cost).
-	//
-	// The merged checkpoint file must come out byte-identical to the
-	// single-process one.
-	const sweepShards = 4
-	var (
-		shardedSingleTime, shardedTotalTime time.Duration
-		shardedSingleRate                   float64
-		shardMergeMS                        float64
-		shardSecs                           [sweepShards]float64
-		shardRanges                         [sweepShards]shard.Range
-	)
-	b.Run(fmt.Sprintf("path=sharded/shards=%d", sweepShards), func(b *testing.B) {
-		singleDir, shardDir := b.TempDir(), b.TempDir()
-		mk := func(dir string) *core.Explorer {
-			opts := benchOptions()
-			opts.Workers = counts[len(counts)-1]
-			opts.Benchmarks = []string{"mcf"}
-			opts.CheckpointDir = dir
-			ex, err := core.New(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ex.LoadModels(bytes.NewReader(models.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			return ex
-		}
-		var tSingle, tSharded time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Fresh explorers every iteration: the sweep cache and merged
-			// outputs belong to the previous round.
-			one := mk(singleDir)
-			t0 := time.Now()
-			if _, err := one.ExhaustivePredict("mcf"); err != nil {
-				b.Fatal(err)
-			}
-			tSingle += time.Since(t0)
-			many := mk(shardDir)
-			t0 = time.Now()
-			for s := 0; s < sweepShards; s++ {
-				st := time.Now()
-				if err := many.SweepShard(context.Background(), "mcf", s, sweepShards); err != nil {
-					b.Fatal(err)
-				}
-				shardSecs[s] = time.Since(st).Seconds()
-			}
-			mt := time.Now()
-			if err := many.MergeSweepShards(sweepShards); err != nil {
-				b.Fatal(err)
-			}
-			shardMergeMS = float64(time.Since(mt).Microseconds()) / 1000
-			tSharded += time.Since(t0)
-			for s := range shardRanges {
-				shardRanges[s] = many.SweepShardRange(s, sweepShards)
-			}
-		}
-		b.StopTimer()
-		singleCkpt, err := os.ReadFile(filepath.Join(singleDir, "sweep-mcf.ckpt"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mergedCkpt, err := os.ReadFile(filepath.Join(shardDir, "sweep-mcf.ckpt"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !bytes.Equal(singleCkpt, mergedCkpt) {
-			b.Fatalf("merged sweep checkpoint differs from single-process (%d vs %d bytes)",
-				len(mergedCkpt), len(singleCkpt))
-		}
-		shardedSingleTime, shardedTotalTime = tSingle, tSharded
-		shardedSingleRate = float64(e.StudySpace.Size()*b.N) / tSingle.Seconds()
-		b.ReportMetric(100*(tSharded.Seconds()/tSingle.Seconds()-1), "shard-walltime-overhead-%")
-	})
 	// Speedups at the highest worker count, the configuration that matters
 	// for study wall-clock; parallel efficiency from the blocked kernel's
 	// 1-to-2-worker step.
@@ -560,28 +462,16 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 		for i, k := range order {
 			rates[i] = rate{Path: k.Path, Workers: k.Workers, PredictionsSec: measured[k]}
 		}
-		type shardRate struct {
-			Shard          int     `json:"shard"`
-			Lo             int     `json:"lo"`
-			Hi             int     `json:"hi"`
-			PredictionsSec float64 `json:"predictions_per_sec"`
-		}
 		report := struct {
-			SpacePoints          int         `json:"space_points"`
-			NumCPU               int         `json:"num_cpu"`
-			Rates                []rate      `json:"rates"`
-			SpeedupWorkers       int         `json:"speedup_workers"`
-			BlockedSpeedup       float64     `json:"blocked_speedup"`
-			CompiledSpeedup      float64     `json:"compiled_speedup"`
-			ParallelEfficiency2W float64     `json:"parallel_efficiency_2w"`
-			ObsOnOverheadPct     float64     `json:"obs_on_overhead_pct"`
-			GuardOverheadPct     float64     `json:"guard_overhead_pct"`
-			Shards               int         `json:"shards,omitempty"`
-			Oversubscribed       bool        `json:"oversubscribed,omitempty"`
-			ShardOverheadPct     float64     `json:"shard_overhead_pct,omitempty"`
-			ShardWallOverheadPct float64     `json:"shard_walltime_overhead_pct,omitempty"`
-			ShardMergeMs         float64     `json:"shard_merge_ms,omitempty"`
-			PerShardRates        []shardRate `json:"per_shard_rates,omitempty"`
+			SpacePoints          int     `json:"space_points"`
+			NumCPU               int     `json:"num_cpu"`
+			Rates                []rate  `json:"rates"`
+			SpeedupWorkers       int     `json:"speedup_workers"`
+			BlockedSpeedup       float64 `json:"blocked_speedup"`
+			CompiledSpeedup      float64 `json:"compiled_speedup"`
+			ParallelEfficiency2W float64 `json:"parallel_efficiency_2w"`
+			ObsOnOverheadPct     float64 `json:"obs_on_overhead_pct"`
+			GuardOverheadPct     float64 `json:"guard_overhead_pct"`
 		}{
 			SpacePoints:     e.StudySpace.Size(),
 			NumCPU:          runtime.NumCPU(),
@@ -599,24 +489,6 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 		if noguardRate > 0 && guardedRate > 0 {
 			report.GuardOverheadPct = 100 * (noguardRate - guardedRate) / noguardRate
 		}
-		if shardedSingleTime > 0 && shardedTotalTime > 0 {
-			report.Shards = sweepShards
-			report.Oversubscribed = runtime.NumCPU() < sweepShards
-			report.ShardWallOverheadPct = 100 * (shardedTotalTime.Seconds()/shardedSingleTime.Seconds() - 1)
-			report.ShardMergeMs = shardMergeMS
-			var aggRate float64
-			for s, r := range shardRanges {
-				psr := shardRate{Shard: s, Lo: r.Lo, Hi: r.Hi}
-				if shardSecs[s] > 0 {
-					psr.PredictionsSec = float64(r.Len()) / shardSecs[s]
-					aggRate += psr.PredictionsSec
-				}
-				report.PerShardRates = append(report.PerShardRates, psr)
-			}
-			if aggRate > 0 && shardedSingleRate > 0 {
-				report.ShardOverheadPct = 100 * (shardedSingleRate/aggRate - 1)
-			}
-		}
 		data, err := json.MarshalIndent(report, "", " ")
 		if err != nil {
 			b.Fatal(err)
@@ -625,12 +497,11 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 			b.Logf("writing BENCH_sweep.json: %v", err)
 		}
 		logFigure(b, fmt.Sprintf(
-			"exhaustive sweep at %d workers: blocked %.3gM predictions/s, scalar compiled %.3gM (%.1fx), interpreted %.3gM (%.1fx total); 2-worker efficiency %.2fx on %d CPU; guard overhead %.2f%%, obs overhead %.2f%%, %d-shard overhead %.2f%% aggregate (wall %.1f%%, merge %.1fms)",
+			"exhaustive sweep at %d workers: blocked %.3gM predictions/s, scalar compiled %.3gM (%.1fx), interpreted %.3gM (%.1fx total); 2-worker efficiency %.2fx on %d CPU; guard overhead %.2f%%, obs overhead %.2f%%",
 			maxWorkers, blockedRate/1e6, compiledRate/1e6, report.BlockedSpeedup,
 			interpretedRate/1e6, blockedRate/interpretedRate,
 			report.ParallelEfficiency2W, report.NumCPU, report.GuardOverheadPct,
-			report.ObsOnOverheadPct, report.Shards, report.ShardOverheadPct,
-			report.ShardWallOverheadPct, report.ShardMergeMs))
+			report.ObsOnOverheadPct))
 		// CI regression gate: the tile-parallel sweep must keep scaling.
 		// Parallel efficiency needs at least two real cores to exist; on a
 		// single-CPU host the gate is structurally unmeasurable, so it is

@@ -18,13 +18,12 @@
 //	search    heuristic search vs exhaustive sweep    (future-work extension)
 //	report    run everything
 //	dataset   build the training dataset checkpoints (shardable)
-//	sweep     run the exhaustive model sweeps        (shardable)
 //
-// The dataset and sweep commands partition across processes: -shard i/n
-// computes one deterministic slice into its own checkpoint, -merge n
-// reassembles completed shards into the standard checkpoint files
-// (byte-identical to a single-process run), and -distribute n forks n
-// workers, restarts failures from their checkpoints, and merges.
+// The dataset command partitions across processes: -shard i/n simulates
+// one deterministic slice into its own checkpoint, -merge n reassembles
+// completed shards into the standard checkpoint files (byte-identical to
+// a single-process run), and -distribute n forks n workers, restarts
+// failures from their checkpoints, and merges.
 //
 // Flags control the training budget; see -help.
 package main
@@ -40,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/core/depthstudy"
 	"repro/internal/core/heterostudy"
@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 	tracelen := fs.Int("tracelen", 100000, "synthetic trace length per benchmark")
 	seed := fs.Uint64("seed", 2007, "sampling seed")
 	workers := fs.Int("workers", 0, "evaluation worker goroutines for simulation batches and model sweeps (0 = all cores)")
-	tile := fs.Int("tile", 0, "sweep tile size: contiguous design points handed to a worker at a time (0 = default; output is tile-invariant)")
 	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
 	noSim := fs.Bool("nosim", false, "skip simulator validation passes (model-only, much faster)")
 	targets := fs.Int("delaytargets", 40, "delay bins for the discretized pareto frontier")
@@ -76,12 +75,12 @@ func run(args []string, out io.Writer) error {
 	traceFile := fs.String("trace", "", "enable span tracing and progress lines; write the span log (JSONL) to this file")
 	manifestFile := fs.String("manifest", "", "write a run manifest (JSON) describing this invocation to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	checkpointDir := fs.String("checkpoint", "", "write crash-safe training/sweep checkpoints into this directory")
+	checkpointDir := fs.String("checkpoint", "", "write crash-safe training checkpoints into this directory")
 	resume := fs.Bool("resume", false, "resume from checkpoints in the -checkpoint directory (results are bit-identical to an uninterrupted run)")
 	deadline := fs.Duration("deadline", 0, "per-batch evaluation deadline (0 = none); an expired batch fails with a deadline error")
-	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset or sweep work domain (e.g. 0/4; requires -checkpoint; dataset and sweep commands only)")
-	mergeN := fs.Int("merge", 0, "merge n completed shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset and sweep commands only)")
-	distribute := fs.Int("distribute", 0, "coordinator mode: fork n worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset and sweep commands only)")
+	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset work domain (e.g. 0/4; requires -checkpoint; dataset command only)")
+	mergeN := fs.Int("merge", 0, "merge n completed shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset command only)")
+	distribute := fs.Int("distribute", 0, "coordinator mode: fork n worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset command only)")
 	stallTimeout := fs.Duration("stall-timeout", 0, "with -distribute: kill and restart (with resume) a worker whose progress beacon shows no change for this long; must exceed worker startup plus one checkpoint chunk (0 = no liveness monitoring)")
 	speculate := fs.Bool("speculate", false, "with -distribute and -stall-timeout: launch a speculative backup attempt for tail stragglers; the first finisher wins and the merged output is unchanged")
 	shardSuffix := fs.String("shardsuffix", "", "internal: append this suffix to shard checkpoint and beacon filenames (how a speculative backup attempt avoids racing the primary on files)")
@@ -90,18 +89,20 @@ func run(args []string, out io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("expected exactly one command: train, validate, pareto, depth, hetero, search, report, dataset or sweep")
+		return fmt.Errorf("expected exactly one command: train, validate, pareto, depth, hetero, search, report or dataset")
 	}
 	cmd := fs.Arg(0)
+	switch cmd {
+	case "train", "validate", "pareto", "depth", "hetero", "search", "report", "dataset":
+	default:
+		return fmt.Errorf("unknown command %q", cmd)
+	}
 
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if *tile < 0 {
-		return fmt.Errorf("-tile must be >= 0, got %d", *tile)
-	}
 
-	shardable := cmd == "dataset" || cmd == "sweep"
+	shardable := cmd == "dataset"
 	shardModes := 0
 	for _, on := range []bool{*shardSpec != "", *mergeN > 0, *distribute > 0} {
 		if on {
@@ -113,7 +114,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if shardModes == 1 {
 		if !shardable {
-			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset and sweep commands only")
+			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset command only")
 		}
 		if *checkpointDir == "" {
 			return fmt.Errorf("-shard/-merge/-distribute require -checkpoint (shard outputs are checkpoints)")
@@ -142,7 +143,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if shardable && *checkpointDir == "" {
-		return fmt.Errorf("the %s command requires -checkpoint (its outputs are checkpoint files)", cmd)
+		return fmt.Errorf("the dataset command requires -checkpoint (its outputs are checkpoint files)")
 	}
 
 	// Observability. Tracing (spans, latency histograms, progress lines)
@@ -166,7 +167,6 @@ func run(args []string, out io.Writer) error {
 	opts.TraceLen = *tracelen
 	opts.Seed = *seed
 	opts.Workers = *workers
-	opts.SweepTile = *tile
 	if *benchList != "" {
 		opts.Benchmarks = strings.Split(*benchList, ",")
 	}
@@ -211,15 +211,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Dataset building needs no models; sweep merging and coordination
-	// reassemble or supervise shard checkpoints without predicting. Only
-	// a sweep that actually computes points needs trained models in this
-	// process (distributed sweep workers train in their own processes,
-	// resuming the shared dataset checkpoints when present).
-	needModels := !(cmd == "dataset" || (cmd == "sweep" && (*mergeN > 0 || *distribute > 0)))
-
-	if !needModels {
-		// Skip training entirely.
+	if shardable {
+		// Dataset building simulates; it needs no models.
 	} else if *loadModels != "" {
 		err = phase("load_models", func() error {
 			f, err := os.Open(*loadModels)
@@ -252,15 +245,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *saveModels != "" {
-		f, err := os.Create(*saveModels)
-		if err != nil {
-			return err
-		}
-		if err := e.SaveModels(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		// Atomic replace: a dsed hot-reloading this file never reads a
+		// torn write.
+		if err := atomicio.WriteTo(*saveModels, 0o644, e.SaveModels); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "saved models to %s\n\n", *saveModels)
@@ -285,11 +272,11 @@ func run(args []string, out io.Writer) error {
 		err = phase("hetero", func() error { return cmdHetero(e, out, !*noSim, *csvDir) })
 	case "search":
 		err = phase("search", func() error { return cmdSearch(e, out) })
-	case "dataset", "sweep":
+	case "dataset":
 		sh := &shardRun{
-			e: e, out: out, man: man, domain: cmd,
+			e: e, out: out, man: man,
 			idx: shardIdx, count: shardCount, explicit: *shardSpec != "",
-			merge: *mergeN, distribute: *distribute, args: args,
+			merge: *mergeN, distribute: *distribute,
 			stallTimeout: *stallTimeout, speculate: *speculate,
 			checkpointDir: *checkpointDir,
 		}
@@ -306,7 +293,6 @@ func run(args []string, out io.Writer) error {
 				"-tracelen", fmt.Sprint(*tracelen),
 				"-seed", fmt.Sprint(*seed),
 				"-workers", fmt.Sprint(*workers),
-				"-tile", fmt.Sprint(*tile),
 				"-checkpoint", *checkpointDir,
 				"-resume",
 			}
@@ -315,9 +301,6 @@ func run(args []string, out io.Writer) error {
 			}
 			if *deadline != 0 {
 				wargs = append(wargs, "-deadline", deadline.String())
-			}
-			if *loadModels != "" {
-				wargs = append(wargs, "-loadmodels", *loadModels)
 			}
 			if *traceFile != "" {
 				wargs = append(wargs, "-trace", fmt.Sprintf("%s.shard%d%s", *traceFile, i, suffix))
@@ -345,8 +328,6 @@ func run(args []string, out io.Writer) error {
 				break
 			}
 		}
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
 	}
 	if err != nil {
 		return err

@@ -168,6 +168,51 @@ func TestSaveAndLoadModels(t *testing.T) {
 	}
 }
 
+// TestSaveModelsReplacesAtomically saves over an existing models file.
+// The save must replace the file by rename rather than rewrite it in
+// place (so a dsed reloading it never reads a torn file), the result must
+// load, and no temporary file may be left in the directory.
+func TestSaveModelsReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "models.json")
+	if err := os.WriteFile(path, []byte("stale models from an earlier run"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := func(extra ...string) []string {
+		return append([]string{"-samples", "40", "-validation", "5", "-tracelen", "2000", "-benchmarks", "gzip"}, extra...)
+	}
+	var out bytes.Buffer
+	if err := run(args("-savemodels", path, "train"), &out); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("models file was rewritten in place, not replaced by rename")
+	}
+	out.Reset()
+	if err := run(args("-loadmodels", path, "train"), &out); err != nil {
+		t.Fatalf("saved models do not load: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "models.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only models.json", names)
+	}
+}
+
 func TestLoadModelsMissingFile(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(fastArgs("-loadmodels", "/nonexistent/models.json", "train"), &out); err == nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,20 +31,20 @@ func TestShardFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cases := [][]string{
-		{"-shard", "0/2", "-checkpoint", dir, "train"},                // not a shardable command
-		{"-merge", "2", "-checkpoint", dir, "validate"},               // not a shardable command
-		{"-distribute", "2", "-checkpoint", dir, "report"},            // not a shardable command
-		{"-shard", "0/2", "dataset"},                                  // missing -checkpoint
-		{"-checkpoint", dir, "-shard", "0/2", "-merge", "2", "sweep"}, // mutually exclusive
-		{"-checkpoint", dir, "-shard", "2/2", "dataset"},              // index out of range
-		{"-checkpoint", dir, "-shard", "nope", "dataset"},             // malformed spec
-		{"-checkpoint", dir, "-merge", "-1", "dataset"},               // negative count
+		{"-shard", "0/2", "-checkpoint", dir, "train"},                  // not a shardable command
+		{"-merge", "2", "-checkpoint", dir, "validate"},                 // not a shardable command
+		{"-distribute", "2", "-checkpoint", dir, "report"},              // not a shardable command
+		{"-shard", "0/2", "dataset"},                                    // missing -checkpoint
+		{"-checkpoint", dir, "-shard", "0/2", "-merge", "2", "dataset"}, // mutually exclusive
+		{"-checkpoint", dir, "-shard", "2/2", "dataset"},                // index out of range
+		{"-checkpoint", dir, "-shard", "nope", "dataset"},               // malformed spec
+		{"-checkpoint", dir, "-merge", "-1", "dataset"},                 // negative count
 		{"dataset"}, // dataset requires -checkpoint
-		{"sweep"},   // sweep requires -checkpoint
-		{"-checkpoint", dir, "-stall-timeout", "2s", "sweep"},                      // stall-timeout requires -distribute
-		{"-checkpoint", dir, "-distribute", "2", "-stall-timeout", "-1s", "sweep"}, // negative timeout
-		{"-checkpoint", dir, "-distribute", "2", "-speculate", "sweep"},            // speculate requires -stall-timeout
-		{"-checkpoint", dir, "-shardsuffix", ".spec", "sweep"},                     // shardsuffix is worker-only
+		{"-checkpoint", dir, "-shard", "0/2", "sweep"},                               // the sweep is not a shardable command
+		{"-checkpoint", dir, "-stall-timeout", "2s", "dataset"},                      // stall-timeout requires -distribute
+		{"-checkpoint", dir, "-distribute", "2", "-stall-timeout", "-1s", "dataset"}, // negative timeout
+		{"-checkpoint", dir, "-distribute", "2", "-speculate", "dataset"},            // speculate requires -stall-timeout
+		{"-checkpoint", dir, "-shardsuffix", ".spec", "dataset"},                     // shardsuffix is worker-only
 	}
 	for _, args := range cases {
 		if err := run(shardArgs(args...), &out); err == nil {
@@ -86,15 +87,31 @@ func TestDatasetShardMergeByteIdentical(t *testing.T) {
 		t.Fatalf("unsharded dataset output unexpected:\n%s", out.String())
 	}
 
+	workerManifest := filepath.Join(dir, "worker1.json")
 	for i := 0; i < 3; i++ {
 		out.Reset()
 		spec := fmt.Sprintf("%d/3", i)
-		if err := run(shardArgs("-checkpoint", dir, "-shard", spec, "dataset"), &out); err != nil {
+		args := []string{"-checkpoint", dir, "-shard", spec}
+		if i == 1 {
+			args = append(args, "-manifest", workerManifest)
+		}
+		if err := run(shardArgs(append(args, "dataset")...), &out); err != nil {
 			t.Fatalf("shard %s: %v", spec, err)
 		}
 		if strings.Contains(out.String(), "merged") {
 			t.Fatalf("explicit shard %s merged on its own:\n%s", spec, out.String())
 		}
+	}
+	// A worker's manifest records the range it owned.
+	wm, err := obs.ReadManifest(workerManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wm.Shards) != 1 {
+		t.Fatalf("worker manifest has %d shard records, want 1", len(wm.Shards))
+	}
+	if rec := wm.Shards[0]; rec.Domain != "dataset" || rec.Index != 1 || rec.Count != 3 || rec.Lo != 26 || rec.Hi != 53 {
+		t.Fatalf("worker shard record unexpected: %+v", rec)
 	}
 	out.Reset()
 	if err := run(shardArgs("-checkpoint", dir, "-merge", "3", "dataset"), &out); err != nil {
@@ -124,51 +141,6 @@ func TestDatasetShardMergeByteIdentical(t *testing.T) {
 	}
 	if len(man.Shards) != 0 {
 		t.Fatalf("unsharded train manifest carries shard records: %+v", man.Shards)
-	}
-}
-
-// TestSweepShardMergeByteIdentical drives the sweep command through
-// shard and merge modes and asserts the merged sweep checkpoints are
-// byte-identical to an unsharded run's. Worker manifests must record
-// the owned range.
-func TestSweepShardMergeByteIdentical(t *testing.T) {
-	golden, dir := t.TempDir(), t.TempDir()
-	args := func(extra ...string) []string {
-		// One benchmark keeps the three training passes cheap.
-		return append([]string{
-			"-samples", "40", "-validation", "5", "-tracelen", "2000",
-			"-benchmarks", "gzip",
-		}, extra...)
-	}
-	var out bytes.Buffer
-	if err := run(args("-checkpoint", golden, "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-
-	manifest := filepath.Join(dir, "worker0.json")
-	if err := run(args("-checkpoint", dir, "-shard", "0/2", "-manifest", manifest, "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", dir, "-shard", "1/2", "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", dir, "-merge", "2", "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	mustEqualFiles(t,
-		filepath.Join(golden, "sweep-gzip.ckpt"),
-		filepath.Join(dir, "sweep-gzip.ckpt"))
-
-	man, err := obs.ReadManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Shards) != 1 {
-		t.Fatalf("worker manifest has %d shard records, want 1", len(man.Shards))
-	}
-	rec := man.Shards[0]
-	if rec.Domain != "sweep" || rec.Index != 0 || rec.Count != 2 || rec.Lo != 0 || rec.Hi <= 0 {
-		t.Fatalf("worker shard record unexpected: %+v", rec)
 	}
 }
 
@@ -282,34 +254,31 @@ func TestDistributedDatasetKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestDistributedSweepHangStallRestart runs `dse -distribute 2 sweep`
-// with a hang fault injected into shard 0's first attempt: the worker
-// completes two checkpoint chunks (its beacon advancing) and then
-// blocks forever at core.sweep.shard. The coordinator's beacon monitor
+// TestDistributedDatasetHangStallRestart runs `dse -distribute 2
+// dataset` with a hang fault injected into shard 0's first attempt: the
+// worker completes two checkpoint chunks (its beacon advancing) and then
+// blocks forever at core.dataset.shard. The coordinator's beacon monitor
 // must declare the stall after -stall-timeout, kill the worker, and
 // restart it; the restart resumes from the shard checkpoint and the
-// merged sweep output stays byte-identical to an unsharded fault-free
-// run. The stall must be visible in the manifest: the stalled-worker
-// counter and the shard record's stall count.
-func TestDistributedSweepHangStallRestart(t *testing.T) {
+// merged training checkpoints stay byte-identical to an unsharded
+// fault-free run. The stall must be visible in the manifest: the
+// stalled-worker counter and the shard record's stall count.
+func TestDistributedDatasetHangStallRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")
 	}
 	golden, dir := t.TempDir(), t.TempDir()
-	models := filepath.Join(t.TempDir(), "models.json")
+	// 750 samples on two benchmarks give each shard three 250-sample
+	// checkpoint chunks, each well under the stall timeout, so only the
+	// injected hang stalls.
 	args := func(extra ...string) []string {
-		// One benchmark and preloaded models keep each sweep chunk well
-		// under the stall timeout, so only the injected hang stalls.
 		return append([]string{
-			"-samples", "40", "-validation", "5", "-tracelen", "2000",
-			"-benchmarks", "gzip",
+			"-samples", "750", "-validation", "5", "-tracelen", "2000",
+			"-benchmarks", "gzip,mcf",
 		}, extra...)
 	}
 	var out bytes.Buffer
-	if err := run(args("-checkpoint", golden, "-savemodels", models, "train"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", golden, "-loadmodels", models, "sweep"), &out); err != nil {
+	if err := run(args("-checkpoint", golden, "dataset"), &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,7 +303,7 @@ func TestDistributedSweepHangStallRestart(t *testing.T) {
 			// Hang shard 0's first attempt at its third checkpoint chunk:
 			// the beacon advances twice, then freezes. Only the monitor
 			// can recover this worker — it will never exit on its own.
-			cmd.Env = append(cmd.Env, "REPRO_FAULT_PLAN=core.sweep.shard:hang:every=1,after=2,count=1")
+			cmd.Env = append(cmd.Env, "REPRO_FAULT_PLAN=core.dataset.shard:hang:every=1,after=2,count=1")
 		}
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -344,17 +313,19 @@ func TestDistributedSweepHangStallRestart(t *testing.T) {
 
 	manifest := filepath.Join(dir, "coordinator.json")
 	out.Reset()
-	if err := run(args("-checkpoint", dir, "-loadmodels", models,
-		"-distribute", "2", "-stall-timeout", "2s", "-manifest", manifest, "sweep"), &out); err != nil {
+	if err := run(args("-checkpoint", dir,
+		"-distribute", "2", "-stall-timeout", "2s", "-manifest", manifest, "dataset"), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "distributed sweep across 2 workers (3 attempts)") {
+	if !strings.Contains(out.String(), "distributed dataset across 2 workers (3 attempts)") {
 		t.Fatalf("coordinator output unexpected:\n%s", out.String())
 	}
 
-	mustEqualFiles(t,
-		filepath.Join(golden, "sweep-gzip.ckpt"),
-		filepath.Join(dir, "sweep-gzip.ckpt"))
+	for _, bench := range []string{"gzip", "mcf"} {
+		mustEqualFiles(t,
+			filepath.Join(golden, "train-"+bench+".ckpt"),
+			filepath.Join(dir, "train-"+bench+".ckpt"))
+	}
 
 	man, err := obs.ReadManifest(manifest)
 	if err != nil {
@@ -372,6 +343,86 @@ func TestDistributedSweepHangStallRestart(t *testing.T) {
 		}
 		if rec.Index == 0 && (rec.Stalls < 1 || rec.Attempts != 2) {
 			t.Fatalf("shard 0 record missing stall trail: %+v", rec)
+		}
+	}
+}
+
+// TestDistributedDatasetSpeculativeBackupWins is the straggler drill
+// behind -speculate: shard 0's primary worker is slowed by a delay plan
+// at every checkpoint chunk while its backup attempt (the one running
+// under -shardsuffix) runs clean. Once shard 1 is done, the monitor's
+// projection must launch the backup, the backup must win, and its
+// suffixed checkpoint must be promoted so the merged training
+// checkpoints stay byte-identical to an unsharded run, with no .spec
+// file left behind.
+func TestDistributedDatasetSpeculativeBackupWins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks worker processes")
+	}
+	golden, dir := t.TempDir(), t.TempDir()
+	// 2,000 samples on two benchmarks give each shard eight 250-sample
+	// chunks: the slowed primary needs over 8 s, the backup a fraction
+	// of that.
+	args := func(extra ...string) []string {
+		return append([]string{
+			"-samples", "2000", "-validation", "5", "-tracelen", "2000",
+			"-benchmarks", "gzip,mcf",
+		}, extra...)
+	}
+	var out bytes.Buffer
+	if err := run(args("-checkpoint", golden, "dataset"), &out); err != nil {
+		t.Fatal(err)
+	}
+
+	orig := workerCommand
+	workerCommand = func(cargs []string) *exec.Cmd {
+		cmd := exec.Command(os.Args[0],
+			append([]string{"-test.run=^TestHelperProcess$", "--"}, cargs...)...)
+		cmd.Env = append(os.Environ(), "DSE_WORKER_HELPER=1")
+		if slices.Contains(cargs, "0/2") && !slices.Contains(cargs, "-shardsuffix") {
+			cmd.Env = append(cmd.Env, "REPRO_FAULT_PLAN=core.dataset.shard:delay:every=1,delay=1s")
+		}
+		cmd.Stdout = os.Stderr
+		cmd.Stderr = os.Stderr
+		return cmd
+	}
+	defer func() { workerCommand = orig }()
+
+	manifest := filepath.Join(t.TempDir(), "coordinator.json")
+	out.Reset()
+	if err := run(args("-checkpoint", dir, "-distribute", "2", "-stall-timeout", "3s",
+		"-speculate", "-manifest", manifest, "dataset"), &out); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, bench := range []string{"gzip", "mcf"} {
+		mustEqualFiles(t,
+			filepath.Join(golden, "train-"+bench+".ckpt"),
+			filepath.Join(dir, "train-"+bench+".ckpt"))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".spec") {
+			t.Fatalf("speculative file %s left behind", e.Name())
+		}
+	}
+
+	man, err := obs.ReadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Counters["shard.speculative_wins"] < 1 {
+		t.Fatalf("no speculative win counted: %v", man.Counters)
+	}
+	for _, rec := range man.Shards {
+		if rec.Status != "ok" {
+			t.Fatalf("shard %d status %q", rec.Index, rec.Status)
+		}
+		if rec.Index == 0 && (!rec.Speculated || !rec.SpecWon) {
+			t.Fatalf("shard 0 record missing the winning backup: %+v", rec)
 		}
 	}
 }

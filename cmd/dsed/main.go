@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/obs"
@@ -181,15 +182,9 @@ func run(args []string, out io.Writer, ctrl *control) error {
 		fmt.Fprintf(os.Stderr, "dsed: trained in %.1fs\n", time.Since(start).Seconds())
 		trained = true
 		if *saveModels != "" {
-			f, err := os.Create(*saveModels)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.SaveModels(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
+			// Atomic replace: a reload of this file never reads a torn
+			// write.
+			if err := atomicio.WriteTo(*saveModels, 0o644, e.SaveModels); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "dsed: saved models to %s\n", *saveModels)

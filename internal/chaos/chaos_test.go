@@ -12,7 +12,7 @@ import (
 )
 
 func TestRandomPlanDeterministicPerSeed(t *testing.T) {
-	menu := DefaultSweepMenu()
+	menu := DefaultDatasetMenu()
 	a := RandomPlan(42, menu)
 	b := RandomPlan(42, menu)
 	if !reflect.DeepEqual(a, b) {
@@ -29,7 +29,7 @@ func TestRandomPlanDeterministicPerSeed(t *testing.T) {
 // drop a fault class from the drill.
 func TestRandomPlanArmsEveryMenuEntry(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
-		for _, menu := range []Menu{DefaultSweepMenu(), DefaultServeMenu()} {
+		for _, menu := range []Menu{DefaultDatasetMenu(), DefaultServeMenu()} {
 			p := RandomPlan(seed, menu)
 			if len(p.Rules) != len(menu) {
 				t.Fatalf("seed %d: %d rules from %d specs", seed, len(p.Rules), len(menu))
@@ -60,22 +60,23 @@ func TestRandomPlanArmsEveryMenuEntry(t *testing.T) {
 	}
 }
 
-// TestDefaultSweepMenuCoversFaultKinds: the acceptance bar is panic,
-// fatal, delay and hang rules composed in one plan.
+// TestDefaultSweepMenuCoversFaultKinds: the distributed-run drill menu,
+// DefaultDatasetMenu, must compose error, panic, fatal, delay and hang
+// rules in one plan.
 func TestDefaultSweepMenuCoversFaultKinds(t *testing.T) {
 	kinds := map[fault.Kind]bool{}
-	for _, spec := range DefaultSweepMenu() {
+	for _, spec := range DefaultDatasetMenu() {
 		kinds[spec.Kind] = true
 	}
 	for _, k := range []fault.Kind{fault.KindError, fault.KindPanic, fault.KindFatal, fault.KindDelay, fault.KindHang} {
 		if !kinds[k] {
-			t.Errorf("DefaultSweepMenu has no %v rule", k)
+			t.Errorf("DefaultDatasetMenu has no %v rule", k)
 		}
 	}
 }
 
 func TestPlanStringMentionsEveryRule(t *testing.T) {
-	p := RandomPlan(7, DefaultSweepMenu())
+	p := RandomPlan(7, DefaultDatasetMenu())
 	s := PlanString(p)
 	if !strings.HasPrefix(s, "seed=") {
 		t.Fatalf("plan string %q does not lead with the seed", s)
@@ -132,7 +133,7 @@ func TestSoakRestoresPriorPlan(t *testing.T) {
 	fault.Enable(mine)
 
 	var saw *fault.Plan
-	rep, err := Soak(context.Background(), Options{Seed: 1, Rounds: 2, Menu: DefaultSweepMenu(), Budget: time.Second},
+	rep, err := Soak(context.Background(), Options{Seed: 1, Rounds: 2, Menu: DefaultDatasetMenu(), Budget: time.Second},
 		func(ctx context.Context, r int, plan *fault.Plan) error {
 			saw = fault.Current()
 			return nil
@@ -156,7 +157,7 @@ func TestSoakReportsRoundFailure(t *testing.T) {
 		t.Skip("soak arms its own plans")
 	}
 	boom := errors.New("round broke")
-	rep, err := Soak(context.Background(), Options{Seed: 9, Rounds: 3, Menu: DefaultSweepMenu(), Budget: time.Second},
+	rep, err := Soak(context.Background(), Options{Seed: 9, Rounds: 3, Menu: DefaultDatasetMenu(), Budget: time.Second},
 		func(ctx context.Context, r int, plan *fault.Plan) error {
 			if r == 1 {
 				return boom

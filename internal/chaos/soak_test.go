@@ -22,8 +22,8 @@ import (
 )
 
 // soakOptions mirrors the core package's checkpoint-test configuration:
-// small but real, with several dataset chunks and four sweep chunks per
-// half-shard so count-bounded kill/hang rules have depth to land in.
+// small but real, with four dataset chunks per half-shard so
+// count-bounded kill/hang rules have depth to land in.
 func soakOptions(dir string) core.Options {
 	opts := core.DefaultOptions()
 	opts.TrainSamples = 40
@@ -31,8 +31,7 @@ func soakOptions(dir string) core.Options {
 	opts.TraceLen = 2000
 	opts.Benchmarks = []string{"gzip"}
 	opts.Workers = 2
-	opts.CheckpointEvery = 10
-	opts.SweepCheckpointEvery = 37500
+	opts.CheckpointEvery = 5
 	opts.CheckpointDir = dir
 	opts.Resume = true
 	return opts
@@ -55,17 +54,16 @@ func bothShards(ctx context.Context, f func(ctx context.Context, i int) error) e
 	return errors.Join(errs...)
 }
 
-// TestSoakDistributedSweepBitIdentical is the tentpole soak: the whole
-// distributed pipeline — dataset shards, dataset merge, training,
-// sweep shards, sweep merge — run round after round under randomized
-// seeded fault plans that compose evaluator errors, panics and delays,
-// a worker kill, two worker hangs (recoverable only by cancelling the
-// attempt, the in-process analogue of the coordinator's stall-kill),
-// a checkpoint-write failure and a beacon-write crash. Every round
-// must converge within its budget and produce training and sweep
-// checkpoints byte-identical to the fault-free golden run; afterwards
-// no goroutine may be left behind.
-func TestSoakDistributedSweepBitIdentical(t *testing.T) {
+// TestSoakDistributedDatasetBitIdentical is the distributed-run soak:
+// dataset shards and their merge, run round after round under
+// randomized seeded fault plans that compose evaluator errors, panics
+// and delays, a worker kill, a worker hang (recoverable only by
+// cancelling the attempt, the in-process analogue of the coordinator's
+// stall-kill), a checkpoint-write failure and a beacon-write crash.
+// Every round must converge within its budget and produce a training
+// checkpoint byte-identical to the fault-free golden run; afterwards no
+// goroutine may be left behind.
+func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round soak")
 	}
@@ -81,9 +79,6 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 	if err := golden.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := golden.ExhaustivePredict("gzip"); err != nil {
-		t.Fatal(err)
-	}
 
 	dir := filepath.Join(t.TempDir(), "chaos")
 	round := func(ctx context.Context, r int, plan *fault.Plan) error {
@@ -96,6 +91,8 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 			return err
 		}
 		if err := bothShards(ctx, func(ctx context.Context, i int) error {
+			// A fresh explorer per attempt is a worker restart: it
+			// resumes from the shard checkpoint.
 			_, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
 				w, err := core.New(soakOptions(dir))
 				if err != nil {
@@ -116,45 +113,14 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 		}); err != nil {
 			return fmt.Errorf("dataset merge: %w", err)
 		}
-		if err := bothShards(ctx, func(ctx context.Context, i int) error {
-			_, err := chaos.RunToCompletion(ctx, 15*time.Second, 8, func(actx context.Context) error {
-				// A fresh explorer per attempt is a worker restart:
-				// training resumes from the merged dataset without
-				// simulating, then the sweep resumes from the shard
-				// checkpoint.
-				w, err := core.New(soakOptions(dir))
-				if err != nil {
-					return err
-				}
-				if err := w.Train(); err != nil {
-					return err
-				}
-				return w.SweepShard(actx, "gzip", i, 2)
-			})
-			return err
-		}); err != nil {
-			return fmt.Errorf("sweep shards: %w", err)
-		}
-		if _, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(context.Context) error {
-			w, err := core.New(soakOptions(dir))
-			if err != nil {
-				return err
-			}
-			return w.MergeSweepShards(2)
-		}); err != nil {
-			return fmt.Errorf("sweep merge: %w", err)
-		}
-		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
-			return err
-		}
-		return chaos.ByteIdentical(filepath.Join(dir, "sweep-gzip.ckpt"), filepath.Join(goldenDir, "sweep-gzip.ckpt"))
+		return chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt"))
 	}
 
 	rep, err := chaos.Soak(context.Background(), chaos.Options{
 		Seed:   2026,
 		Rounds: 2,
 		Budget: 2 * time.Minute,
-		Menu:   chaos.DefaultSweepMenu(),
+		Menu:   chaos.DefaultDatasetMenu(),
 	}, round)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -121,10 +122,11 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCompletedDatasetAndSweep checks the fully-completed
-// fast path: a finished run's checkpoints let a fresh explorer retrain
-// with zero simulations and reload its sweep without re-running it.
-func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
+// TestResumeSkipsCompletedDataset checks the fully-completed fast path:
+// a finished run's checkpoints let a fresh explorer retrain with zero
+// simulations, and its sweep (never checkpointed) matches the first
+// run's bit for bit.
+func TestResumeSkipsCompletedDataset(t *testing.T) {
 	if fault.Active() {
 		t.Skip("exact eval counts need a fault-free world")
 	}
@@ -159,9 +161,6 @@ func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swept := second.ModelStats().SweptPoints; swept != 0 {
-		t.Errorf("resumed sweep evaluated %d points, want 0 (loaded from checkpoint)", swept)
-	}
 	if len(got) != len(want) {
 		t.Fatalf("sweep lengths differ: %d vs %d", len(got), len(want))
 	}
@@ -169,6 +168,19 @@ func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("sweep point %d: first %+v, resumed %+v", i, want[i], got[i])
 		}
+	}
+	// Only dataset checkpoints are written: the sweep is recomputed, not
+	// stored.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "train-gzip.ckpt" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("checkpoint directory holds %v, want only train-gzip.ckpt", names)
 	}
 }
 

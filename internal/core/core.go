@@ -66,34 +66,27 @@ type Options struct {
 	// is bit-identical either way; the switch exists for benchmarking
 	// and as an escape hatch.
 	DisableFastSim bool
-	// SweepTile is the contiguous flat-index tile size handed to each
-	// sweep worker; 0 means DefaultSweepTile. Output is independent of
-	// the tile size; it only shapes load balance and handout contention.
-	SweepTile int
-	// CheckpointDir, when non-empty, enables crash-safe checkpointing:
-	// dataset building writes a checksummed checkpoint every
-	// CheckpointEvery samples per benchmark, and completed exhaustive
-	// sweeps are saved, all via atomic temp-file+rename writes.
+	// CheckpointDir, when non-empty, enables crash-safe checkpointing of
+	// dataset building: a checksummed checkpoint every CheckpointEvery
+	// samples per benchmark, written via atomic temp-file+rename. The
+	// model sweep is not checkpointed: recomputing it costs less than
+	// loading it back.
 	CheckpointDir string
 	// CheckpointEvery is the number of training samples simulated between
 	// checkpoint writes; 0 means DefaultCheckpointEvery. Only meaningful
 	// with CheckpointDir set.
 	CheckpointEvery int
-	// SweepCheckpointEvery is the number of swept points between a sweep
-	// shard's checkpoint writes; 0 means DefaultSweepCheckpointEvery.
-	// Only meaningful for SweepShard with CheckpointDir set.
-	SweepCheckpointEvery int
 	// Resume loads matching checkpoints from CheckpointDir before
-	// computing: completed dataset chunks are not re-simulated and saved
-	// sweeps are not re-run. A checkpoint whose identity (seed, sample
-	// counts, trace length, benchmarks) does not match this run is
-	// refused with ckpt.ErrIdentity rather than silently mixed in.
-	// Results are bit-identical to an uninterrupted run.
+	// computing: completed dataset chunks are not re-simulated. A
+	// checkpoint whose identity (seed, sample counts, trace length,
+	// benchmarks) does not match this run is refused with
+	// ckpt.ErrIdentity rather than silently mixed in. Results are
+	// bit-identical to an uninterrupted run.
 	Resume bool
-	// ShardSuffix is appended to this process's shard checkpoint and
-	// beacon filenames. A speculative backup attempt runs with a suffix
-	// (".spec") so it computes the same identity-keyed values as the
-	// primary but never races it on files; when the backup wins, the
+	// ShardSuffix is appended to this process's dataset shard checkpoint
+	// and beacon filenames. A speculative backup attempt runs with a
+	// suffix (".spec") so it computes the same identity-keyed values as
+	// the primary but never races it on files; when the backup wins, the
 	// coordinator adopts its outputs via PromoteShardCheckpoints.
 	// Identity keys are unaffected — only filenames change.
 	ShardSuffix string
@@ -123,10 +116,11 @@ const (
 	ColWatts = "watts"
 )
 
-// DefaultSweepTile is the sweep tile size when Options.SweepTile is 0:
-// it divides the study space's 37,500-point depth blocks evenly (70
-// tiles across the 262,500-point space), so no tile straddles a depth
-// boundary and depth-sliced studies see the same tiling as full sweeps.
+// DefaultSweepTile is the tile size the model engine hands each sweep
+// worker: it divides the study space's 37,500-point depth blocks evenly
+// (70 tiles across the 262,500-point space), so no tile straddles a
+// depth boundary and depth-sliced studies see the same tiling as full
+// sweeps. Output is independent of the tile size.
 const DefaultSweepTile = 3750
 
 // Explorer ties the design space, the simulator and the regression models
@@ -216,13 +210,9 @@ func New(opts Options) (*Explorer, error) {
 	if opts.GuardInterval != 0 {
 		e.modelsBackend.SetGuardInterval(opts.GuardInterval)
 	}
-	tile := opts.SweepTile
-	if tile == 0 {
-		tile = DefaultSweepTile
-	}
 	e.modelEngine = eval.NewEngine(
 		e.modelsBackend,
-		eval.Options{Workers: opts.Workers, NoCache: true, Name: "model", BatchTimeout: opts.BatchTimeout, Tile: tile},
+		eval.Options{Workers: opts.Workers, NoCache: true, Name: "model", BatchTimeout: opts.BatchTimeout, Tile: DefaultSweepTile},
 	)
 	return e, nil
 }
@@ -475,23 +465,8 @@ func (e *Explorer) ExhaustivePredict(bench string) ([]Prediction, error) {
 	}
 	e.mu.Unlock()
 	out := make([]Prediction, e.StudySpace.Size())
-	if e.opts.CheckpointDir != "" && e.opts.Resume {
-		if ok, err := e.loadSweepCheckpoint(bench, out); err != nil {
-			return nil, err
-		} else if ok {
-			e.mu.Lock()
-			e.sweepCache[bench] = out
-			e.mu.Unlock()
-			return out, nil
-		}
-	}
 	if err := e.ExhaustivePredictInto(context.Background(), bench, out); err != nil {
 		return nil, err
-	}
-	if e.opts.CheckpointDir != "" {
-		if err := e.saveSweepCheckpoint(bench, out); err != nil {
-			return nil, err
-		}
 	}
 	e.mu.Lock()
 	e.sweepCache[bench] = out
@@ -542,20 +517,8 @@ func newSweepScratch() *sweepScratch {
 // coefficient-premultiplied tables. DisableBlocked falls back to the
 // scalar one-point-at-a-time compiled kernel, and DisableCompile to the
 // interpreted per-request path; all three produce bit-identical output.
+// A guardrail trip re-runs the whole sweep on the interpreted path.
 func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
-	return e.ExhaustivePredictRange(ctx, bench, 0, e.StudySpace.Size(), dst)
-}
-
-// ExhaustivePredictRange runs the sweep for the flat-index sub-range
-// [from, to) of the study space only — the unit of work a sweep shard
-// computes. dst must still have StudySpace.Size() elements; predictions
-// land at their absolute indices (dst[i] for i in [from, to)) and
-// slots outside the range are untouched, so a set of range sweeps that
-// tile the space assembles exactly the full-sweep output. Progress and
-// SweptPoints account the sub-range only. The same kernel ladder
-// (blocked, scalar compiled, interpreted) and guardrail contract apply;
-// a guardrail trip re-runs just this range on the interpreted path.
-func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, from, to int, dst []Prediction) error {
 	if _, _, err := e.Models(bench); err != nil {
 		return err
 	}
@@ -564,22 +527,17 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 	if len(dst) != n {
 		return fmt.Errorf("core: sweep buffer has %d slots, space has %d", len(dst), n)
 	}
-	if from < 0 || to > n || from > to {
-		return fmt.Errorf("core: sweep range [%d,%d) outside space of %d points", from, to, n)
-	}
-	if from == to {
-		return nil
-	}
+	// from and to let span consumers count the points swept.
 	ctx, sp := obs.Start(ctx, "core.sweep",
-		obs.String("bench", bench), obs.Int("from", int64(from)), obs.Int("to", int64(to)))
+		obs.String("bench", bench), obs.Int("from", 0), obs.Int("to", int64(n)))
 	defer sp.End()
 	guard := e.modelsBackend.Guard()
 	if pair, _ := e.compiledPair(bench); pair != nil && pair.Leveled() && !guard.Degraded() {
 		var err error
 		if plan := pair.Plan(); plan != nil && !e.opts.DisableBlocked {
-			err = e.sweepBlocked(ctx, bench, plan, guard, from, to, dst)
+			err = e.sweepBlocked(ctx, bench, plan, guard, dst)
 		} else {
-			err = e.sweepCompiledScalar(ctx, bench, pair, guard, from, to, dst)
+			err = e.sweepCompiledScalar(ctx, bench, pair, guard, dst)
 		}
 		if err != nil {
 			return err
@@ -589,18 +547,18 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 		}
 		// The guardrail tripped mid-sweep: some compiled result diverged
 		// from the interpreted reference, and the corruption could have
-		// landed anywhere in the range. Fall through and re-run the whole
-		// range on the interpreted path (which the degraded backend now
-		// routes everything to), guaranteeing correct output.
+		// landed anywhere. Fall through and re-run the whole sweep on the
+		// interpreted path (which the degraded backend now routes
+		// everything to), guaranteeing correct output.
 	}
-	results, err := e.modelEngine.EvaluateIndexed(ctx, to-from, func(i int) eval.Request {
-		return eval.Request{Config: space.Config(space.PointAt(from + i)), Bench: bench}
+	results, err := e.modelEngine.EvaluateIndexed(ctx, n, func(i int) eval.Request {
+		return eval.Request{Config: space.Config(space.PointAt(i)), Bench: bench}
 	})
 	if err != nil {
 		return err
 	}
 	for i, r := range results {
-		dst[from+i] = Prediction{Index: from + i, BIPS: r.BIPS, Watts: r.Watts}
+		dst[i] = Prediction{Index: i, BIPS: r.BIPS, Watts: r.Watts}
 	}
 	return nil
 }
@@ -613,10 +571,10 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 // boundary against the interpreted models, so guard coverage matches
 // the configured one-in-interval rate however tiles and chunks divide
 // the space.
-func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, from, to int, dst []Prediction) error {
+func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, dst []Prediction) error {
 	space := e.StudySpace
 	levels := space.Levels()
-	return e.modelEngine.SweepRange(ctx, from, to, func(lo, hi int) error {
+	return e.modelEngine.Sweep(ctx, len(dst), func(lo, hi int) error {
 		// Hoisted per tile so the per-point loop stays free of atomic
 		// traffic when no fault plan is armed (the common case).
 		faultActive := fault.Active()
@@ -672,10 +630,10 @@ func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.Pa
 // equivalence ladder: one point at a time through CompiledPair's
 // level-table path. Guard sampling follows the same per-point TickCount
 // contract as the blocked kernel.
-func (e *Explorer) sweepCompiledScalar(ctx context.Context, bench string, pair *eval.CompiledPair, guard *eval.Guardrail, from, to int, dst []Prediction) error {
+func (e *Explorer) sweepCompiledScalar(ctx context.Context, bench string, pair *eval.CompiledPair, guard *eval.Guardrail, dst []Prediction) error {
 	space := e.StudySpace
 	levels := space.Levels()
-	return e.modelEngine.SweepRange(ctx, from, to, func(lo, hi int) error {
+	return e.modelEngine.Sweep(ctx, len(dst), func(lo, hi int) error {
 		faultActive := fault.Active()
 		var scratch eval.PairScratch
 		pt := space.PointAt(lo)

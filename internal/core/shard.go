@@ -16,23 +16,10 @@ import (
 	"repro/internal/shard"
 )
 
-// DefaultSweepCheckpointEvery is the sweep-shard checkpoint stride when
-// Options.SweepCheckpointEvery is zero: one depth block of the study
-// space, so a killed sweep shard loses at most 37,500 of its points and
-// checkpoint writes stay rare relative to the ~24M points/s kernel.
-const DefaultSweepCheckpointEvery = 37500
-
 // ErrShardIncomplete is returned by the merge entry points when a shard
 // checkpoint exists but has not finished its range — the worker is
 // still running, or died and was never resumed to completion.
 var ErrShardIncomplete = errors.New("core: shard incomplete")
-
-// sweepShardID names shard i/n of one benchmark's exhaustive sweep. The
-// domain fingerprint is the study space hash, so a shard swept over a
-// different space (or partition) can never be resumed or merged here.
-func (e *Explorer) sweepShardID(i, n int) shard.ID {
-	return shard.ID{Domain: "sweep", Space: e.StudySpace.Fingerprint(), Index: i, Count: n}
-}
 
 // datasetShardID names shard i/n of the dataset-build domain: the
 // bench-major (benchmark × config-index) flat range. The fingerprint is
@@ -45,23 +32,18 @@ func (e *Explorer) datasetShardID(i, n int) shard.ID {
 // Shard file paths carry Options.ShardSuffix, so a speculative backup
 // attempt (suffix ".spec") writes beside the primary instead of racing
 // it on the same names; PromoteShardCheckpoints adopts a winner's files.
-func (e *Explorer) sweepShardPath(bench string, i, n int) string {
-	return filepath.Join(e.opts.CheckpointDir,
-		fmt.Sprintf("sweep-shard-%dof%d-%s.ckpt%s", i, n, bench, e.opts.ShardSuffix))
-}
-
 func (e *Explorer) datasetShardPath(i, n int) string {
 	return filepath.Join(e.opts.CheckpointDir,
 		fmt.Sprintf("train-shard-%dof%d.ckpt%s", i, n, e.opts.ShardSuffix))
 }
 
-func (e *Explorer) beaconPath(domain string, i, n int) string {
-	return shard.BeaconPath(e.opts.CheckpointDir, domain, i, n) + e.opts.ShardSuffix
+func (e *Explorer) beaconPath(i, n int) string {
+	return shard.BeaconPath(e.opts.CheckpointDir, "dataset", i, n) + e.opts.ShardSuffix
 }
 
-// beaconWriter publishes a shard worker's progress heartbeat at every
-// checkpoint chunk; the coordinator's monitor reads it to tell a slow
-// worker from a stuck one. The sequence number continues from whatever
+// beaconWriter publishes a dataset shard worker's progress heartbeat at
+// every checkpoint chunk; the coordinator's monitor reads it to tell a
+// slow worker from a stuck one. The sequence number continues from whatever
 // beacon is already on disk, so a restarted (resumed) attempt registers
 // as progress even when its first chunk re-lands on the same cursor.
 type beaconWriter struct {
@@ -69,12 +51,12 @@ type beaconWriter struct {
 	b    shard.Beacon
 }
 
-func (e *Explorer) newBeaconWriter(domain string, i, n int, r shard.Range) *beaconWriter {
+func (e *Explorer) newBeaconWriter(i, n int, r shard.Range) *beaconWriter {
 	w := &beaconWriter{
-		path: e.beaconPath(domain, i, n),
+		path: e.beaconPath(i, n),
 		b: shard.Beacon{
 			Version: shard.BeaconVersion,
-			Domain:  domain,
+			Domain:  "dataset",
 			Index:   i,
 			Count:   n,
 			Lo:      r.Lo,
@@ -110,39 +92,15 @@ func (e *Explorer) shardIdentity(id shard.ID) string {
 	return e.identity() + ";" + id.String()
 }
 
-// SweepShardRange returns the flat-index range of the study space that
-// sweep shard i of n owns: the arithmetic partition with boundaries
-// snapped to the sweep tile size, which divides the space's depth
-// blocks evenly — so shards never split a worker tile or a
-// arch.Space.DepthBlock, and the sharded tiling matches what depth
-// studies and full sweeps see.
-func (e *Explorer) SweepShardRange(i, n int) shard.Range {
-	tile := e.opts.SweepTile
-	if tile <= 0 {
-		tile = DefaultSweepTile
-	}
-	return shard.OfAligned(e.StudySpace.Size(), i, n, tile)
-}
-
 // DatasetShardRange returns the flat range of the bench-major dataset
 // domain (index = bench*TrainSamples + sample) that shard i of n owns.
 func (e *Explorer) DatasetShardRange(i, n int) shard.Range {
 	return shard.Of(len(e.benchmarks)*e.opts.TrainSamples, i, n)
 }
 
-// sweepShardCheckpoint is one sweep shard's progress: response columns
-// for the flat indices [Lo, Hi) of the study space, valid through
-// absolute index Completed.
-type sweepShardCheckpoint struct {
-	Lo        int       `json:"lo"`
-	Hi        int       `json:"hi"`
-	Completed int       `json:"completed"`
-	BIPS      []float64 `json:"bips"`
-	Watts     []float64 `json:"watts"`
-}
-
 // datasetShardCheckpoint is one dataset shard's progress over the
-// bench-major domain, same shape as sweepShardCheckpoint.
+// bench-major domain: response columns for the flat indices [Lo, Hi),
+// valid through absolute index Completed.
 type datasetShardCheckpoint struct {
 	Lo        int       `json:"lo"`
 	Hi        int       `json:"hi"`
@@ -151,177 +109,29 @@ type datasetShardCheckpoint struct {
 	Watts     []float64 `json:"watts"`
 }
 
-// loadShardCheckpoint loads and shape-checks a shard checkpoint into
-// the given fields. Missing files mean "start fresh" (completed = lo);
+// loadDatasetShardCheckpoint loads and shape-checks the shard
+// checkpoint at path. A missing file means "start fresh" (nil, nil);
 // any other failure — identity mismatch, checksum, malformed shape — is
 // an error, matching loadDatasetCheckpoint's refuse-don't-discard
 // policy.
-func loadShardCheckpoint(path, identity string, r shard.Range, c interface {
-	bounds() (lo, hi, completed int)
-}) (completed int, found bool, err error) {
-	// The concrete types share a shape; callers pass a pointer to one.
-	if err := ckpt.Load(path, identity, c); err != nil {
+func loadDatasetShardCheckpoint(path, identity string, r shard.Range) (*datasetShardCheckpoint, error) {
+	var c datasetShardCheckpoint
+	if err := ckpt.Load(path, identity, &c); err != nil {
 		if errors.Is(err, ckpt.ErrNotExist) {
-			return r.Lo, false, nil
+			return nil, nil
 		}
-		return 0, false, fmt.Errorf("core: resuming shard checkpoint: %w", err)
+		return nil, fmt.Errorf("core: resuming shard checkpoint: %w", err)
 	}
-	lo, hi, done := c.bounds()
-	if lo != r.Lo || hi != r.Hi || done < lo || done > hi {
-		return 0, false, fmt.Errorf("core: shard checkpoint %s covers [%d,%d) done=%d, want [%d,%d)",
-			path, lo, hi, done, r.Lo, r.Hi)
+	if c.Lo != r.Lo || c.Hi != r.Hi || c.Completed < c.Lo || c.Completed > c.Hi {
+		return nil, fmt.Errorf("core: shard checkpoint %s covers [%d,%d) done=%d, want [%d,%d)",
+			path, c.Lo, c.Hi, c.Completed, r.Lo, r.Hi)
+	}
+	if len(c.BIPS) != r.Len() || len(c.Watts) != r.Len() {
+		return nil, fmt.Errorf("core: shard checkpoint %s carries %d/%d values for %d samples",
+			path, len(c.BIPS), len(c.Watts), r.Len())
 	}
 	ckptResumedCtr.Add(1)
-	return done, true, nil
-}
-
-func (c *sweepShardCheckpoint) bounds() (int, int, int)   { return c.Lo, c.Hi, c.Completed }
-func (c *datasetShardCheckpoint) bounds() (int, int, int) { return c.Lo, c.Hi, c.Completed }
-
-// SweepShard computes sweep shard i of n for one benchmark: the model
-// sweep over SweepShardRange(i, n), checkpointed to the shard's own
-// identity-keyed file every SweepCheckpointEvery points so a killed
-// worker resumes mid-shard instead of restarting it. Requires trained
-// models and CheckpointDir (the checkpoint file is the shard's output).
-// With Options.Resume, an existing matching checkpoint seeds the run; a
-// checkpoint from a different shard, partition, space or run identity
-// is refused with a typed error. The completed file holds exactly what
-// a single-process sweep computes for those indices.
-func (e *Explorer) SweepShard(ctx context.Context, bench string, i, n int) error {
-	if _, _, err := e.Models(bench); err != nil {
-		return err
-	}
-	if e.opts.CheckpointDir == "" {
-		return fmt.Errorf("core: SweepShard requires CheckpointDir (shard output is its checkpoint)")
-	}
-	r := e.SweepShardRange(i, n)
-	path := e.sweepShardPath(bench, i, n)
-	identity := e.shardIdentity(e.sweepShardID(i, n))
-
-	ctx, sp := obs.Start(ctx, "core.sweep.shard",
-		obs.String("bench", bench), obs.String("shard", fmt.Sprintf("%d/%d", i, n)),
-		obs.Int("lo", int64(r.Lo)), obs.Int("hi", int64(r.Hi)))
-	defer sp.End()
-
-	c := &sweepShardCheckpoint{
-		Lo: r.Lo, Hi: r.Hi, Completed: r.Lo,
-		BIPS:  make([]float64, r.Len()),
-		Watts: make([]float64, r.Len()),
-	}
-	completed := r.Lo
-	if e.opts.Resume {
-		loaded := &sweepShardCheckpoint{}
-		done, found, err := loadShardCheckpoint(path, identity, r, loaded)
-		if err != nil {
-			return err
-		}
-		if found {
-			if len(loaded.BIPS) != r.Len() || len(loaded.Watts) != r.Len() {
-				return fmt.Errorf("core: shard checkpoint %s carries %d/%d values for %d points",
-					path, len(loaded.BIPS), len(loaded.Watts), r.Len())
-			}
-			c = loaded
-			completed = done
-		}
-	}
-
-	// Full-space buffer: the range kernels write at absolute indices.
-	// 263k predictions is ~6 MB — cheap next to the sweep itself.
-	dst := make([]Prediction, e.StudySpace.Size())
-	every := e.opts.SweepCheckpointEvery
-	if every <= 0 {
-		every = DefaultSweepCheckpointEvery
-	}
-	// The opening heartbeat covers the gap between process start and the
-	// first chunk (and registers a resume as a sign of life).
-	beacon := e.newBeaconWriter("sweep", i, n, r)
-	if err := beacon.update(bench, completed); err != nil {
-		return err
-	}
-	for lo := completed; lo < r.Hi; lo += every {
-		hi := lo + every
-		if hi > r.Hi {
-			hi = r.Hi
-		}
-		// Deterministic kill/hang site for coordinator and CI fault
-		// drills: one visit per checkpoint chunk.
-		if err := fault.HereCtx(ctx, "core.sweep.shard"); err != nil {
-			return err
-		}
-		if err := e.ExhaustivePredictRange(ctx, bench, lo, hi, dst); err != nil {
-			return err
-		}
-		for idx := lo; idx < hi; idx++ {
-			c.BIPS[idx-r.Lo] = dst[idx].BIPS
-			c.Watts[idx-r.Lo] = dst[idx].Watts
-		}
-		c.Completed = hi
-		if err := ckpt.Save(path, identity, c); err != nil {
-			return fmt.Errorf("core: writing sweep shard checkpoint: %w", err)
-		}
-		ckptWrittenCtr.Add(1)
-		if err := beacon.update(bench, hi); err != nil {
-			return err
-		}
-	}
-	if completed >= r.Hi {
-		// Nothing left (resume found a finished shard, or the shard is
-		// empty): still persist the file so merge finds every shard.
-		if err := ckpt.Save(path, identity, c); err != nil {
-			return fmt.Errorf("core: writing sweep shard checkpoint: %w", err)
-		}
-		ckptWrittenCtr.Add(1)
-	}
-	return nil
-}
-
-// MergeSweepShards reassembles the n sweep shard checkpoints of every
-// benchmark into the standard single-process sweep checkpoint files
-// (sweep-<bench>.ckpt). Every shard must exist, match this run's
-// identity and partition, and be complete (ErrShardIncomplete
-// otherwise); the pieces must tile the study space exactly. The merged
-// file is byte-identical to what an unsharded checkpointed sweep
-// writes, because the values are bitwise equal and the payload shape is
-// the same.
-func (e *Explorer) MergeSweepShards(n int) error {
-	if e.opts.CheckpointDir == "" {
-		return fmt.Errorf("core: MergeSweepShards requires CheckpointDir")
-	}
-	if n <= 0 {
-		return fmt.Errorf("core: MergeSweepShards needs a positive shard count, got %d", n)
-	}
-	size := e.StudySpace.Size()
-	for _, bench := range e.benchmarks {
-		pieces := make([]shard.Piece, 0, n)
-		for i := 0; i < n; i++ {
-			var c sweepShardCheckpoint
-			path := e.sweepShardPath(bench, i, n)
-			if err := ckpt.Load(path, e.shardIdentity(e.sweepShardID(i, n)), &c); err != nil {
-				return fmt.Errorf("core: loading sweep shard %d/%d for %s: %w", i, n, bench, err)
-			}
-			r := e.SweepShardRange(i, n)
-			if c.Lo != r.Lo || c.Hi != r.Hi {
-				return fmt.Errorf("core: sweep shard %d/%d covers [%d,%d), partition says %v",
-					i, n, c.Lo, c.Hi, r)
-			}
-			if c.Completed != c.Hi {
-				return fmt.Errorf("%w: sweep shard %d/%d for %s at %d of [%d,%d)",
-					ErrShardIncomplete, i, n, bench, c.Completed, c.Lo, c.Hi)
-			}
-			pieces = append(pieces, shard.Piece{Lo: c.Lo, Hi: c.Hi, BIPS: c.BIPS, Watts: c.Watts})
-		}
-		bips, watts, err := shard.MergeColumns(size, pieces)
-		if err != nil {
-			return fmt.Errorf("core: merging sweep shards for %s: %w", bench, err)
-		}
-		if err := ckpt.Save(e.sweepCheckpointPath(bench), e.identity(), sweepCheckpoint{
-			BIPS: bips, Watts: watts,
-		}); err != nil {
-			return fmt.Errorf("core: writing merged sweep checkpoint: %w", err)
-		}
-		ckptWrittenCtr.Add(1)
-	}
-	return nil
+	return &c, nil
 }
 
 // BuildDatasetShard simulates dataset shard i of n: the slice
@@ -352,22 +162,16 @@ func (e *Explorer) BuildDatasetShard(ctx context.Context, i, n int) error {
 		BIPS:  make([]float64, r.Len()),
 		Watts: make([]float64, r.Len()),
 	}
-	completed := r.Lo
 	if e.opts.Resume {
-		loaded := &datasetShardCheckpoint{}
-		done, found, err := loadShardCheckpoint(path, identity, r, loaded)
+		loaded, err := loadDatasetShardCheckpoint(path, identity, r)
 		if err != nil {
 			return err
 		}
-		if found {
-			if len(loaded.BIPS) != r.Len() || len(loaded.Watts) != r.Len() {
-				return fmt.Errorf("core: shard checkpoint %s carries %d/%d values for %d samples",
-					path, len(loaded.BIPS), len(loaded.Watts), r.Len())
-			}
+		if loaded != nil {
 			c = loaded
-			completed = done
 		}
 	}
+	completed := c.Completed
 
 	points := e.SampleSpace.SampleUAR(samples, e.opts.Seed)
 	configs := make([]arch.Config, len(points))
@@ -378,7 +182,9 @@ func (e *Explorer) BuildDatasetShard(ctx context.Context, i, n int) error {
 	if chunk <= 0 {
 		chunk = DefaultCheckpointEvery
 	}
-	beacon := e.newBeaconWriter("dataset", i, n, r)
+	// The opening heartbeat covers the gap between process start and the
+	// first chunk (and registers a resume as a sign of life).
+	beacon := e.newBeaconWriter(i, n, r)
 	if err := beacon.update("", completed); err != nil {
 		return err
 	}
@@ -387,8 +193,8 @@ func (e *Explorer) BuildDatasetShard(ctx context.Context, i, n int) error {
 		if hi > r.Hi {
 			hi = r.Hi
 		}
-		// Same per-chunk kill/hang site the sweep domain has, so fault
-		// drills can stall a dataset build at an exact chunk too.
+		// Deterministic kill/hang site for coordinator and CI fault
+		// drills: one visit per checkpoint chunk.
 		if err := fault.HereCtx(ctx, "core.dataset.shard"); err != nil {
 			return err
 		}
@@ -417,6 +223,8 @@ func (e *Explorer) BuildDatasetShard(ctx context.Context, i, n int) error {
 		}
 	}
 	if completed >= r.Hi {
+		// Nothing left (resume found a finished shard, or the shard is
+		// empty): still persist the file so merge finds every shard.
 		if err := ckpt.Save(path, identity, c); err != nil {
 			return fmt.Errorf("core: writing dataset shard checkpoint: %w", err)
 		}
@@ -477,39 +285,26 @@ func (e *Explorer) MergeDatasetShards(n int) error {
 	return nil
 }
 
-// PromoteShardCheckpoints renames the suffixed shard checkpoint files
-// of shard i/n over the canonical (unsuffixed) names — how a
+// PromoteShardCheckpoints renames the suffixed checkpoint file of
+// dataset shard i/n over the canonical (unsuffixed) name — how a
 // coordinator adopts a winning speculative attempt's output. Because
 // shard values are deterministic and checkpoints identity-keyed, the
-// promoted files are bitwise what the primary would have written, so
-// the merge stays byte-identical to a fault-free run. Must be called
-// only after both attempts' processes are reaped (no writer may be
-// live). The explorer doing the promoting holds the canonical
-// (suffix-free) options; the backup's leftover beacon is removed
-// best-effort.
-func (e *Explorer) PromoteShardCheckpoints(domain string, i, n int, suffix string) error {
+// promoted file is bitwise what the primary would have written, so the
+// merge stays byte-identical to a fault-free run. Must be called only
+// after both attempts' processes are reaped (no writer may be live).
+// The explorer doing the promoting holds the canonical (suffix-free)
+// options; the backup's leftover beacon is removed best-effort.
+func (e *Explorer) PromoteShardCheckpoints(i, n int, suffix string) error {
 	if suffix == "" {
 		return fmt.Errorf("core: promoting shard checkpoints needs a non-empty suffix")
 	}
 	if e.opts.CheckpointDir == "" {
 		return fmt.Errorf("core: PromoteShardCheckpoints requires CheckpointDir")
 	}
-	var canonical []string
-	switch domain {
-	case "sweep":
-		for _, bench := range e.benchmarks {
-			canonical = append(canonical, e.sweepShardPath(bench, i, n))
-		}
-	case "dataset":
-		canonical = append(canonical, e.datasetShardPath(i, n))
-	default:
-		return fmt.Errorf("core: unknown shard domain %q", domain)
+	path := e.datasetShardPath(i, n)
+	if err := os.Rename(path+suffix, path); err != nil {
+		return fmt.Errorf("core: promoting speculative shard %d/%d: %w", i, n, err)
 	}
-	for _, path := range canonical {
-		if err := os.Rename(path+suffix, path); err != nil {
-			return fmt.Errorf("core: promoting speculative shard %d/%d: %w", i, n, err)
-		}
-	}
-	os.Remove(e.beaconPath(domain, i, n) + suffix)
+	os.Remove(e.beaconPath(i, n) + suffix)
 	return nil
 }

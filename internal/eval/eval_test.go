@@ -324,47 +324,6 @@ func TestSweepCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestSweepRangeSubRange pins the sub-range contract: tiles carry
-// absolute indices confined to [from, to), every index in the range is
-// visited exactly once, and SweptPoints advances by the range size —
-// not the full domain — so sharded sweeps report honest progress.
-func TestSweepRangeSubRange(t *testing.T) {
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 5, Tile: 300})
-	const from, to, n = 3_100, 7_351, 10_000
-	marks := make([]atomic.Int32, n)
-	err := e.SweepRange(context.Background(), from, to, func(lo, hi int) error {
-		if lo < from || hi > to || lo >= hi {
-			return fmt.Errorf("tile [%d, %d) outside [%d, %d)", lo, hi, from, to)
-		}
-		for i := lo; i < hi; i++ {
-			marks[i].Add(1)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range marks {
-		want := int32(0)
-		if i >= from && i < to {
-			want = 1
-		}
-		if got := marks[i].Load(); got != want {
-			t.Fatalf("index %d evaluated %d times, want %d", i, got, want)
-		}
-	}
-	if st := e.Stats(); st.SweptPoints != to-from {
-		t.Fatalf("SweptPoints = %d, want %d", st.SweptPoints, to-from)
-	}
-	// An empty or inverted range is a no-op, not an error.
-	if err := e.SweepRange(context.Background(), 5, 5, func(lo, hi int) error {
-		t.Fatal("tile for empty range")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSweepHonorsTileOption(t *testing.T) {
 	e := NewEngine(&countingEvaluator{}, Options{Workers: 3, Tile: 250})
 	const n = 1_100 // 4 full tiles + a 100-point remainder

@@ -31,7 +31,7 @@ type Phase struct {
 // including restart counts — the manifest-level trail of the per-shard
 // progress stream.
 type ShardRecord struct {
-	Domain   string  `json:"domain"` // "sweep" or "dataset"
+	Domain   string  `json:"domain"` // work domain, e.g. "dataset"
 	Index    int     `json:"index"`  // shard index in [0, Count)
 	Count    int     `json:"count"`  // total shards in the partition
 	Lo       int     `json:"lo"`     // owned flat-index range [Lo, Hi)

@@ -194,8 +194,8 @@ func TestGitRevisionUnknownOutsideRepo(t *testing.T) {
 func TestManifestShardRecordsRoundTrip(t *testing.T) {
 	m := goldenManifest()
 	m.Shards = []ShardRecord{
-		{Domain: "sweep", Index: 0, Count: 2, Lo: 0, Hi: 131250, Attempts: 2, Seconds: 3.5, Status: "ok"},
-		{Domain: "sweep", Index: 1, Count: 2, Lo: 131250, Hi: 262500, Attempts: 1, Seconds: 1.25, Status: "ok"},
+		{Domain: "dataset", Index: 0, Count: 2, Lo: 0, Hi: 1000, Attempts: 2, Seconds: 3.5, Status: "ok"},
+		{Domain: "dataset", Index: 1, Count: 2, Lo: 1000, Hi: 2000, Attempts: 1, Seconds: 1.25, Status: "ok"},
 	}
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := m.WriteFile(path); err != nil {

@@ -13,7 +13,7 @@ import (
 func validBeacon() Beacon {
 	return Beacon{
 		Version: BeaconVersion,
-		Domain:  "sweep",
+		Domain:  "dataset",
 		Index:   1,
 		Count:   4,
 		Bench:   "gzip",
@@ -43,8 +43,8 @@ func TestBeaconRoundTrip(t *testing.T) {
 }
 
 func TestBeaconPathNames(t *testing.T) {
-	got := BeaconPath("ckpts", "sweep", 2, 8)
-	want := filepath.Join("ckpts", "beacon-sweep-2of8.json")
+	got := BeaconPath("ckpts", "dataset", 2, 8)
+	want := filepath.Join("ckpts", "beacon-dataset-2of8.json")
 	if got != want {
 		t.Fatalf("BeaconPath = %q, want %q", got, want)
 	}
@@ -75,7 +75,7 @@ func TestDecodeBeaconRejectsInvalid(t *testing.T) {
 		"negative seq":    mut(func(b *Beacon) { b.Seq = -1 }),
 		"negative pid":    mut(func(b *Beacon) { b.PID = -1 }),
 		"trailing junk":   append(mustEncode(t, validBeacon()), []byte("{}")...),
-		"unknown field":   []byte(`{"version":1,"domain":"sweep","index":0,"count":1,"lo":0,"hi":1,"cursor":0,"seq":0,"time_unix_nano":0,"pid":1,"extra":true}`),
+		"unknown field":   []byte(`{"version":1,"domain":"dataset","index":0,"count":1,"lo":0,"hi":1,"cursor":0,"seq":0,"time_unix_nano":0,"pid":1,"extra":true}`),
 		"oversized":       append(mustEncode(t, validBeacon()), make([]byte, MaxBeaconBytes)...),
 		"not json":        []byte("beacon?"),
 	}

@@ -123,7 +123,7 @@ func TestCoordinatorCancellation(t *testing.T) {
 
 // beaconJSON hand-rolls a beacon for shell-script stand-in workers.
 func beaconJSON(i, n, lo, hi, cursor, seq int) string {
-	return fmt.Sprintf(`{"version":1,"domain":"sweep","index":%d,"count":%d,"lo":%d,"hi":%d,"cursor":%d,"seq":%d,"time_unix_nano":0,"pid":0}`,
+	return fmt.Sprintf(`{"version":1,"domain":"dataset","index":%d,"count":%d,"lo":%d,"hi":%d,"cursor":%d,"seq":%d,"time_unix_nano":0,"pid":0}`,
 		i, n, lo, hi, cursor, seq)
 }
 
@@ -140,7 +140,7 @@ func TestCoordinatorStallKillAndRestartConcurrent(t *testing.T) {
 		N: 2,
 		Command: func(i, n int) *exec.Cmd {
 			marker := filepath.Join(dir, fmt.Sprintf("attempted-%d", i))
-			beacon := BeaconPath(dir, "sweep", i, n)
+			beacon := BeaconPath(dir, "dataset", i, n)
 			// Attempt 1: publish one beacon, then hang. Attempt 2 (the
 			// marker exists): publish progress and exit cleanly.
 			return shCmd(fmt.Sprintf(
@@ -148,7 +148,7 @@ func TestCoordinatorStallKillAndRestartConcurrent(t *testing.T) {
 				marker, beacon, beaconJSON(i, 2, 0, 100, 50, 2), beaconJSON(i, 2, 0, 100, 10, 1)))
 		},
 		StallTimeout: 300 * time.Millisecond,
-		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
+		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "dataset", i, n) },
 		OnEvent: func(ev Event) {
 			mu.Lock()
 			events = append(events, ev)
@@ -196,7 +196,7 @@ func TestCoordinatorStallBudgetExhausted(t *testing.T) {
 		N:             1,
 		Command:       func(i, n int) *exec.Cmd { return shCmd("sleep 30") },
 		StallTimeout:  150 * time.Millisecond,
-		BeaconPath:    func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
+		BeaconPath:    func(i, n int) string { return BeaconPath(dir, "dataset", i, n) },
 		StallRestarts: 1,
 	}
 	workers, err := c.Run(context.Background())
@@ -226,17 +226,17 @@ func TestCoordinatorSpeculativeBackupWins(t *testing.T) {
 			if i == 1 {
 				return shCmd("true")
 			}
-			beacon := BeaconPath(dir, "sweep", i, n)
+			beacon := BeaconPath(dir, "dataset", i, n)
 			return shCmd(fmt.Sprintf(`c=0; s=0
 while [ $c -lt 1000 ]; do
   c=$((c+10)); s=$((s+1))
-  printf '{"version":1,"domain":"sweep","index":0,"count":2,"lo":0,"hi":1000,"cursor":%%d,"seq":%%d,"time_unix_nano":0,"pid":0}' $c $s > %[1]s.tmp && mv %[1]s.tmp %[1]s
+  printf '{"version":1,"domain":"dataset","index":0,"count":2,"lo":0,"hi":1000,"cursor":%%d,"seq":%%d,"time_unix_nano":0,"pid":0}' $c $s > %[1]s.tmp && mv %[1]s.tmp %[1]s
   sleep 0.1
 done`, beacon))
 		},
 		StallTimeout: time.Second,
 		PollInterval: 50 * time.Millisecond,
-		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
+		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "dataset", i, n) },
 		SpecCommand: func(i, n int) *exec.Cmd {
 			return shCmd("true")
 		},

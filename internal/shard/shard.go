@@ -1,6 +1,6 @@
-// Package shard partitions the repository's two long-pole work domains —
-// exhaustive sweep point ranges and dataset-build (benchmark ×
-// config-index) ranges — into deterministic contiguous shards that
+// Package shard partitions the repository's long-pole work domain — the
+// simulation-bound dataset build, a bench-major (benchmark ×
+// config-index) range — into deterministic contiguous shards that
 // independent processes compute and a coordinator merges back into
 // byte-identical single-process results.
 //
@@ -8,12 +8,9 @@
 // total owns the half-open range [i*total/n, (i+1)*total/n), so every
 // process — workers, the merger, tests — derives the same handout from
 // (total, i, n) alone, with no shard table to distribute or keep
-// consistent. PlanAligned additionally snaps interior cut points down to
-// a stride (the sweep tile size, which divides arch.Space.DepthBlock
-// blocks evenly), so sweep shards never split a worker tile or a depth
-// block. Each shard's checkpoint is keyed by an ID string that bakes in
-// the domain fingerprint and i/n, so internal/ckpt refuses to resume a
-// shard file written for a different partition or space.
+// consistent. Each shard's checkpoint is keyed by an ID string that
+// bakes in the domain fingerprint and i/n, so internal/ckpt refuses to
+// resume a shard file written for a different partition or space.
 package shard
 
 import (
@@ -61,35 +58,6 @@ func Plan(total, n int) []Range {
 	return out
 }
 
-// OfAligned returns shard i of n over total indices with every interior
-// cut point snapped down to a multiple of align, so no shard boundary
-// falls inside an align-sized block. The first shard always starts at 0
-// and the last always ends at total (which need not be a multiple of
-// align — the final shard absorbs the tail). Snapping can empty a shard
-// when n*align exceeds total; empty shards are valid and own no work.
-func OfAligned(total, i, n, align int) Range {
-	if align <= 0 {
-		panic(fmt.Sprintf("shard: non-positive alignment %d", align))
-	}
-	r := Of(total, i, n)
-	if r.Lo != 0 {
-		r.Lo = r.Lo / align * align
-	}
-	if r.Hi != total {
-		r.Hi = r.Hi / align * align
-	}
-	return r
-}
-
-// PlanAligned returns all n shards of OfAligned in order.
-func PlanAligned(total, n, align int) []Range {
-	out := make([]Range, n)
-	for i := range out {
-		out[i] = OfAligned(total, i, n, align)
-	}
-	return out
-}
-
 // ParseSpec parses a "i/n" shard specification (as passed to
 // `dse -shard`), requiring 0 <= i < n.
 func ParseSpec(spec string) (i, n int, err error) {
@@ -109,14 +77,14 @@ func ParseSpec(spec string) (i, n int, err error) {
 // space) and ckpt.Load fails with ErrIdentity instead of silently
 // merging mismatched ranges.
 type ID struct {
-	Domain string // work-domain name, e.g. "sweep" or "dataset"
+	Domain string // work-domain name, e.g. "dataset"
 	Space  uint64 // fingerprint of the domain (space hash, sample-set hash)
 	Index  int    // shard index in [0, Count)
 	Count  int    // total shards in the partition
 }
 
 // String renders the identity fragment, e.g.
-// "domain=sweep;space=00c0ffee00c0ffee;shard=0/4".
+// "domain=dataset;space=00c0ffee00c0ffee;shard=0/4".
 func (id ID) String() string {
 	return fmt.Sprintf("domain=%s;space=%016x;shard=%d/%d",
 		id.Domain, id.Space, id.Index, id.Count)

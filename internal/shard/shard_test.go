@@ -84,33 +84,6 @@ func TestOfPanicsOnBadSpec(t *testing.T) {
 	}
 }
 
-// TestPlanAligned checks that interior boundaries are multiples of the
-// alignment, coverage stays exact, and the unaligned tail still lands
-// in the last shard.
-func TestPlanAligned(t *testing.T) {
-	for _, tc := range []struct{ total, n, align int }{
-		{262500, 4, 3750}, // the study space over 4 sweep shards
-		{262500, 7, 3750}, // shard count matching the depth levels
-		{10000, 3, 512},   // tail not a multiple of align
-		{100, 64, 64},     // heavy snapping: most shards empty
-	} {
-		ranges := PlanAligned(tc.total, tc.n, tc.align)
-		cursor := 0
-		for i, r := range ranges {
-			if r.Lo != cursor {
-				t.Fatalf("PlanAligned(%v) shard %d starts at %d, want %d", tc, i, r.Lo, cursor)
-			}
-			if r.Lo != 0 && r.Lo%tc.align != 0 {
-				t.Fatalf("PlanAligned(%v) shard %d boundary %d not aligned", tc, i, r.Lo)
-			}
-			cursor = r.Hi
-		}
-		if cursor != tc.total {
-			t.Fatalf("PlanAligned(%v) covers [0,%d)", tc, cursor)
-		}
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	i, n, err := ParseSpec("2/4")
 	if err != nil || i != 2 || n != 4 {
@@ -185,7 +158,7 @@ func TestMergeColumns(t *testing.T) {
 func TestIdentityMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard.ckpt")
-	id := ID{Domain: "sweep", Space: 0xabcdef, Index: 0, Count: 4}
+	id := ID{Domain: "dataset", Space: 0xabcdef, Index: 0, Count: 4}
 	payload := map[string]int{"completed": 7}
 	if err := ckpt.Save(path, "run;"+id.String(), payload); err != nil {
 		t.Fatalf("save: %v", err)
@@ -197,10 +170,10 @@ func TestIdentityMismatchRejected(t *testing.T) {
 	}
 
 	for _, wrong := range []ID{
-		{Domain: "sweep", Space: 0xabcdef, Index: 1, Count: 4},   // other shard
-		{Domain: "sweep", Space: 0xabcdef, Index: 0, Count: 8},   // other partition
-		{Domain: "sweep", Space: 0x123456, Index: 0, Count: 4},   // other space
-		{Domain: "dataset", Space: 0xabcdef, Index: 0, Count: 4}, // other domain
+		{Domain: "dataset", Space: 0xabcdef, Index: 1, Count: 4}, // other shard
+		{Domain: "dataset", Space: 0xabcdef, Index: 0, Count: 8}, // other partition
+		{Domain: "dataset", Space: 0x123456, Index: 0, Count: 4}, // other space
+		{Domain: "other", Space: 0xabcdef, Index: 0, Count: 4},   // other domain
 	} {
 		err := ckpt.Load(path, "run;"+wrong.String(), &out)
 		if !errors.Is(err, ckpt.ErrIdentity) {

@@ -539,18 +539,25 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 
 // BenchmarkTrainDataset measures dataset-build throughput — the
 // simulation phase of training, the dominant cost of the whole
-// methodology — on both simulator paths: the fast path (pooled scratch,
-// memoized warm cache/BHT state) and the seed full-warmup path
-// (DisableFastSim). Both paths run through a NoCache engine so every
-// evaluation is a real simulation, and both must produce bit-identical
-// datasets. The measured rates (runs/sec and simulated timed MInst/sec)
-// and the fast-over-seed speedup are written to BENCH_train.json at the
+// methodology — on each simulator tier, through a NoCache engine so
+// every evaluation is a real simulation:
+//
+//   - seed: the full-warmup reference path (DisableFastSim);
+//   - cold: a fresh simulator per iteration and one request per distinct
+//     warm key, so every run walks the warmup, records its key's outcome
+//     mask and replays it — the cost a key pays once;
+//   - replay: the steady state after one untimed pass, every run
+//     replaying a memoized mask — the cost every later run of a key pays.
+//
+// Every tier must produce results bit-identical to the seed's. The rates
+// (runs/sec and simulated timed MInst/sec), the speedups over seed and
+// the memo's bytes after one pass are written to BENCH_train.json at the
 // repo root.
 func BenchmarkTrainDataset(b *testing.B) {
 	traceLen := benchOptions().TraceLen
 	benches := []string{"gzip", "mcf", "twolf"}
 	// Training samples are drawn from the paper's sampling space; reuse of
-	// cache geometries across samples is what the warm memo exploits.
+	// cache geometries across samples is what the outcome memo exploits.
 	space := arch.TableOneSpace()
 	points := space.SampleUAR(200, 0xDA7A)
 	var reqs []eval.Request
@@ -559,65 +566,124 @@ func BenchmarkTrainDataset(b *testing.B) {
 			reqs = append(reqs, eval.Request{Config: space.Config(pt), Bench: bench})
 		}
 	}
+	// The cold tier's requests: the first request of each warm key (the
+	// trace and the cache geometries), by position in reqs.
+	type warmKey struct {
+		bench                        string
+		il1KB, dl1KB, dl1Assoc, l2KB int
+	}
+	seen := make(map[warmKey]bool)
+	var coldIdx []int
+	for i, r := range reqs {
+		p, err := sim.Derive(r.Config)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := warmKey{r.Bench, r.Config.IL1KB, r.Config.DL1KB, p.DL1Assoc, r.Config.L2KB}
+		if !seen[k] {
+			seen[k] = true
+			coldIdx = append(coldIdx, i)
+		}
+	}
+	coldReqs := make([]eval.Request, len(coldIdx))
+	for j, i := range coldIdx {
+		coldReqs[j] = reqs[i]
+	}
 	timedPerRun := traceLen - int(float64(traceLen)*sim.WarmupFrac)
 
 	measured := make(map[string]float64)
-	var baseline []eval.Result
-	datasetBench := func(path string, disableFast bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			s := eval.NewSimulator(traceLen)
-			s.DisableFastSim = disableFast
-			eng := eval.NewEngine(s, eval.Options{NoCache: true, Name: "train-" + path})
-			// Synthesize traces outside the timer; training amortizes
-			// synthesis across every sample.
-			for _, bench := range benches {
-				if _, _, err := s.Evaluate(arch.Baseline(), bench); err != nil {
-					b.Fatal(err)
-				}
+	var seedOut []eval.Result
+	var memoBytes int64
+	// newBackend returns a simulator and an uncached engine over it, with
+	// every trace synthesized: training amortizes synthesis across every
+	// sample, so no tier pays for it.
+	newBackend := func(b *testing.B, path string, disableFast bool) (*eval.Simulator, *eval.Engine) {
+		s := eval.NewSimulator(traceLen)
+		s.DisableFastSim = disableFast
+		for _, bench := range benches {
+			if _, err := trace.ForBenchmark(bench, traceLen); err != nil {
+				b.Fatal(err)
 			}
-			// Two full passes outside the timer: like trace synthesis, the
-			// fast path's warm memo is populated once per geometry and
-			// amortized across the whole training sweep (and every study
-			// that follows), so the timed iterations measure steady-state
-			// throughput on both paths. The second pass matters for
-			// geometry keys only one sampled config maps to: their outcome
-			// masks are recorded on the second visit, so one pass would
-			// leave them on the snapshot-restore tier during measurement.
-			for pass := 0; pass < 2; pass++ {
-				if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
-					b.Fatal(err)
-				}
+		}
+		return s, eval.NewEngine(s, eval.Options{NoCache: true, Name: "train-" + path})
+	}
+	// check requires out[j] to match the seed's result for reqs[idx[j]]
+	// (idx nil means the identity). A -bench filter that skips the seed
+	// tier leaves nothing to check against.
+	check := func(b *testing.B, path string, out []eval.Result, idx []int) {
+		if seedOut == nil {
+			return
+		}
+		for j := range out {
+			i := j
+			if idx != nil {
+				i = idx[j]
 			}
-			var out []eval.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = eng.EvaluateBatch(context.Background(), reqs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runs := float64(len(reqs) * b.N)
-			runsPerSec := runs / b.Elapsed().Seconds()
-			b.ReportMetric(runsPerSec, "runs/s")
-			b.ReportMetric(runsPerSec*float64(timedPerRun)/1e6, "MInst/s")
-			measured[path] = runsPerSec
-			if baseline == nil {
-				baseline = append([]eval.Result(nil), out...)
-			} else {
-				for i := range out {
-					if out[i] != baseline[i] {
-						b.Fatalf("path=%s: run %d = %+v diverges from baseline %+v",
-							path, i, out[i], baseline[i])
-					}
-				}
+			if out[j] != seedOut[i] {
+				b.Fatalf("path=%s: run %d = %+v diverges from seed %+v", path, i, out[j], seedOut[i])
 			}
 		}
 	}
-	// Seed first so the fast path's divergence check runs against it.
-	b.Run("path=seed", datasetBench("seed", true))
-	b.Run("path=fast", datasetBench("fast", false))
+	reportRate := func(b *testing.B, path string, runs int) {
+		runsPerSec := float64(runs) / b.Elapsed().Seconds()
+		b.ReportMetric(runsPerSec, "runs/s")
+		b.ReportMetric(runsPerSec*float64(timedPerRun)/1e6, "MInst/s")
+		measured[path] = runsPerSec
+	}
+	// Seed first so every fast tier is checked against it.
+	b.Run("path=seed", func(b *testing.B) {
+		_, eng := newBackend(b, "seed", true)
+		// One untimed pass grows the pooled run scratch, so the timed
+		// passes measure the reference path's steady state.
+		if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
+			b.Fatal(err)
+		}
+		var out []eval.Result
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if out, err = eng.EvaluateBatch(context.Background(), reqs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		seedOut = out
+		reportRate(b, "seed", len(reqs)*b.N)
+	})
+	b.Run("path=cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, eng := newBackend(b, "cold", false)
+			b.StartTimer()
+			out, err := eng.EvaluateBatch(context.Background(), coldReqs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			check(b, "cold", out, coldIdx)
+		}
+		reportRate(b, "cold", len(coldReqs)*b.N)
+	})
+	b.Run("path=replay", func(b *testing.B) {
+		s, eng := newBackend(b, "replay", false)
+		// One untimed pass records every key's mask, as the first pass
+		// of a training sweep does for every study that follows.
+		if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
+			b.Fatal(err)
+		}
+		memoBytes = s.MemoBytes()
+		var out []eval.Result
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if out, err = eng.EvaluateBatch(context.Background(), reqs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		check(b, "replay", out, nil)
+		reportRate(b, "replay", len(reqs)*b.N)
+	})
 
 	// Sharded dataset build vs single process, measured paired: each
 	// iteration builds the same training dataset once as a single shard
@@ -696,8 +762,8 @@ func BenchmarkTrainDataset(b *testing.B) {
 		b.ReportMetric(100*(tSharded.Seconds()/tSingle.Seconds()-1), "shard-overhead-%")
 	})
 
-	fastRate, seedRate := measured["fast"], measured["seed"]
-	if fastRate > 0 && seedRate > 0 {
+	seedRate, coldRate, replayRate := measured["seed"], measured["cold"], measured["replay"]
+	if seedRate > 0 && coldRate > 0 && replayRate > 0 {
 		type rate struct {
 			Path        string  `json:"path"`
 			RunsPerSec  float64 `json:"runs_per_sec"`
@@ -709,28 +775,34 @@ func BenchmarkTrainDataset(b *testing.B) {
 			Hi         int     `json:"hi"`
 			RunsPerSec float64 `json:"runs_per_sec"`
 		}
+		mk := func(path string, runsPerSec float64) rate {
+			return rate{Path: path, RunsPerSec: runsPerSec, MInstPerSec: runsPerSec * float64(timedPerRun) / 1e6}
+		}
 		report := struct {
 			Benchmarks       []string    `json:"benchmarks"`
 			Configs          int         `json:"configs"`
+			WarmKeys         int         `json:"warm_keys"`
 			TraceLen         int         `json:"trace_len"`
 			TimedPerRun      int         `json:"timed_instructions_per_run"`
 			NumCPU           int         `json:"num_cpu"`
 			Rates            []rate      `json:"rates"`
-			FastSpeedup      float64     `json:"fast_speedup"`
+			ColdSpeedup      float64     `json:"cold_speedup"`
+			ReplaySpeedup    float64     `json:"replay_speedup"`
+			MemoBytes        int64       `json:"memo_bytes_after_one_pass"`
 			Shards           int         `json:"shards,omitempty"`
 			ShardOverheadPct float64     `json:"shard_overhead_pct,omitempty"`
 			PerShardRates    []shardRate `json:"per_shard_rates,omitempty"`
 		}{
-			Benchmarks:  benches,
-			Configs:     len(points),
-			TraceLen:    traceLen,
-			TimedPerRun: timedPerRun,
-			NumCPU:      runtime.NumCPU(),
-			Rates: []rate{
-				{Path: "seed", RunsPerSec: seedRate, MInstPerSec: seedRate * float64(timedPerRun) / 1e6},
-				{Path: "fast", RunsPerSec: fastRate, MInstPerSec: fastRate * float64(timedPerRun) / 1e6},
-			},
-			FastSpeedup: fastRate / seedRate,
+			Benchmarks:    benches,
+			Configs:       len(points),
+			WarmKeys:      len(coldReqs),
+			TraceLen:      traceLen,
+			TimedPerRun:   timedPerRun,
+			NumCPU:        runtime.NumCPU(),
+			Rates:         []rate{mk("seed", seedRate), mk("cold", coldRate), mk("replay", replayRate)},
+			ColdSpeedup:   coldRate / seedRate,
+			ReplaySpeedup: replayRate / seedRate,
+			MemoBytes:     memoBytes,
 		}
 		if dsSingleTime > 0 && dsShardedTime > 0 {
 			report.Shards = datasetShards
@@ -751,8 +823,10 @@ func BenchmarkTrainDataset(b *testing.B) {
 			b.Logf("writing BENCH_train.json: %v", err)
 		}
 		logFigure(b, fmt.Sprintf(
-			"dataset build: fast %.0f runs/s, seed %.0f runs/s (%.1fx); %d runs of %d timed instructions",
-			fastRate, seedRate, fastRate/seedRate, len(reqs), timedPerRun))
+			"dataset build: seed %.0f runs/s, cold key %.0f runs/s (%.2fx), replay %.0f runs/s (%.2fx); "+
+				"%d runs over %d warm keys of %d timed instructions, memo %d bytes after one pass",
+			seedRate, coldRate, coldRate/seedRate, replayRate, replayRate/seedRate,
+			len(reqs), len(coldReqs), timedPerRun, memoBytes))
 	}
 }
 

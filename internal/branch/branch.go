@@ -50,43 +50,6 @@ func (p *Predictor) Configure(entries, bits int) error {
 	return nil
 }
 
-// Snapshot is an immutable copy of a predictor's geometry and trained
-// state. Restoring it reproduces prediction behaviour bit-for-bit.
-type Snapshot struct {
-	bits  int
-	mask  uint32
-	state []uint8
-}
-
-// Snapshot deep-copies the predictor's trained state. Statistics are not
-// captured; a restored predictor starts with zeroed counters.
-func (p *Predictor) Snapshot() *Snapshot {
-	return &Snapshot{
-		bits:  p.bits,
-		mask:  p.mask,
-		state: append([]uint8(nil), p.state...),
-	}
-}
-
-// Bytes returns the heap footprint of the snapshot's state array.
-func (s *Snapshot) Bytes() int64 { return int64(len(s.state)) }
-
-// Restore reshapes the predictor to the snapshot's geometry (reusing the
-// state array when large enough) and copies the trained state in, with
-// zeroed statistics.
-func (p *Predictor) Restore(s *Snapshot) {
-	p.bits = s.bits
-	p.mask = s.mask
-	if cap(p.state) < len(s.state) {
-		p.state = make([]uint8, len(s.state))
-	} else {
-		p.state = p.state[:len(s.state)]
-	}
-	copy(p.state, s.state)
-	p.lookups = 0
-	p.misses = 0
-}
-
 // index hashes the PC to a table slot. Instructions are 4 bytes, so the
 // low two bits carry no information.
 func (p *Predictor) index(pc uint32) int {

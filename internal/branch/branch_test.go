@@ -181,47 +181,3 @@ func BenchmarkUpdate(b *testing.B) {
 		p.Update(pcs[i&1023], i&3 != 0)
 	}
 }
-
-// Snapshot/Restore must reproduce prediction behaviour bit-for-bit and
-// be immune to later mutation of the source predictor.
-func TestSnapshotRestoreBitIdentical(t *testing.T) {
-	p, err := New(256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		pc := uint32(i*4) % 4096
-		p.Update(pc, i%3 != 0)
-	}
-	p.ResetStats()
-	snap := p.Snapshot()
-
-	q, err := New(1024, 1) // different geometry: Restore must reshape
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Update(12, true)
-	q.Restore(snap)
-	if lk, ms := q.Stats(); lk != 0 || ms != 0 {
-		t.Fatalf("restored stats %d/%d, want zeroed", lk, ms)
-	}
-	for i := 0; i < 5000; i++ {
-		pc := uint32(i*8) % 8192
-		taken := i%5 < 3
-		if p.Update(pc, taken) != q.Update(pc, taken) {
-			t.Fatalf("step %d: restored predictor diverged from original", i)
-		}
-	}
-	// Mutating the source after the snapshot must not affect a restore.
-	before := p.Snapshot()
-	p.Update(0, true)
-	p.Update(0, true)
-	r2, err := New(256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Restore(before)
-	if r2.Predict(0) != (before.state[0] >= 2) {
-		t.Fatal("snapshot not a deep copy")
-	}
-}

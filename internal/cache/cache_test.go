@@ -241,70 +241,6 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// Snapshot/Restore must reproduce replacement behaviour bit-for-bit:
-// an identical access stream applied to the original and to a restored
-// copy must produce identical hit/miss sequences, even across geometry
-// changes of the destination cache.
-func TestSnapshotRestoreBitIdentical(t *testing.T) {
-	r := rng.New(7)
-	warm := mustNew(t, "d", 8*1024, 2, 128)
-	addrs := make([]uint32, 4000)
-	for i := range addrs {
-		addrs[i] = uint32(r.Intn(1 << 18))
-		warm.Access(addrs[i])
-	}
-	warm.ResetStats()
-	snap := warm.Snapshot()
-
-	// The destination starts with a different (larger) geometry, so
-	// Restore must reshape it, and a previous life's contents must not
-	// bleed through.
-	dst := mustNew(t, "other", 64*1024, 4, 128)
-	for _, a := range addrs {
-		dst.Access(a ^ 0x5a5a)
-	}
-	dst.Restore(snap)
-	if dst.Sets() != warm.Sets() || dst.Assoc() != warm.Assoc() {
-		t.Fatalf("restored geometry %d/%d, want %d/%d",
-			dst.Sets(), dst.Assoc(), warm.Sets(), warm.Assoc())
-	}
-	if acc, miss := dst.Stats(); acc != 0 || miss != 0 {
-		t.Fatalf("restored stats %d/%d, want zeroed", acc, miss)
-	}
-	probe := make([]uint32, 4000)
-	for i := range probe {
-		probe[i] = uint32(r.Intn(1 << 18))
-	}
-	for i, a := range probe {
-		if warm.Access(a) != dst.Access(a) {
-			t.Fatalf("access %d (addr %#x): restored cache diverged from original", i, a)
-		}
-	}
-	wa, wm := warm.Stats()
-	da, dm := dst.Stats()
-	if wa != da || wm != dm {
-		t.Fatalf("stats diverged: original %d/%d restored %d/%d", wa, wm, da, dm)
-	}
-}
-
-// A snapshot must be immune to later mutation of the source cache.
-func TestSnapshotIsDeepCopy(t *testing.T) {
-	c := mustNew(t, "d", 1024, 1, 128)
-	c.Access(0)
-	snap := c.Snapshot()
-	for i := 0; i < 64; i++ {
-		c.Access(uint32(i * 128)) // overwrite every set
-	}
-	fresh := mustNew(t, "d", 1024, 1, 128)
-	fresh.Restore(snap)
-	if !fresh.Probe(0) {
-		t.Fatal("snapshot lost block 0 after source mutation")
-	}
-	if fresh.Probe(7 * 128) {
-		t.Fatal("snapshot picked up a block accessed after it was taken")
-	}
-}
-
 // Configure must reuse backing arrays once grown: reconfiguring a cache
 // between geometries it has already seen allocates nothing.
 func TestConfigureSteadyStateAllocFree(t *testing.T) {
@@ -324,16 +260,30 @@ func TestConfigureSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestAccessSpecializationsMatchGeneric drives the unrolled 2-way and
-// 4-way access paths and the generic loop over the same random reference
-// stream and requires identical hit/miss decisions, statistics and final
-// contents — the bit-identicality contract the fast simulator kernel
-// relies on.
+// TestAccessSpecializationsMatchGeneric drives the direct-mapped
+// (AccessDirect with the Rehit shortcut), unrolled 2-way and 4-way access
+// paths and the generic loop over the same random reference stream and
+// requires identical hit/miss decisions, statistics and final contents —
+// the bit-identicality contract the simulator's outcome recorder relies
+// on.
 func TestAccessSpecializationsMatchGeneric(t *testing.T) {
+	// direct mirrors the recorder's instruction-fetch path: a repeat of
+	// the previous access's block takes Rehit, anything else AccessDirect.
+	lastBlk := int64(-1)
+	direct := func(c *Cache, addr uint32) bool {
+		blk := addr >> c.BlockShift()
+		if int64(blk) == lastBlk {
+			c.Rehit(blk & c.SetMask())
+			return true
+		}
+		lastBlk = int64(blk)
+		return c.AccessDirect(addr)
+	}
 	cases := []struct {
 		assoc  int
 		access func(c *Cache, addr uint32) bool
 	}{
+		{1, direct},
 		{2, func(c *Cache, addr uint32) bool { return c.Access2(addr) }},
 		{4, func(c *Cache, addr uint32) bool { return c.Access4(addr) }},
 	}
@@ -341,10 +291,14 @@ func TestAccessSpecializationsMatchGeneric(t *testing.T) {
 		ref := mustNew(t, "ref", 8*1024, tc.assoc, 128)
 		spec := mustNew(t, "ref", 8*1024, tc.assoc, 128)
 		r := rng.New(uint64(tc.assoc))
+		addr := uint32(0)
 		for i := 0; i < 20000; i++ {
 			// A footprint a few times the cache provokes hits, conflict
-			// misses, invalid-way fills and LRU evictions alike.
-			addr := uint32(r.Intn(64*1024)) &^ 127
+			// misses, invalid-way fills and LRU evictions alike; one
+			// access in four repeats the previous block.
+			if r.Intn(4) != 0 {
+				addr = uint32(r.Intn(64*1024)) &^ 127
+			}
 			if ref.Access(addr) != tc.access(spec, addr) {
 				t.Fatalf("assoc %d: access %d to %#x diverged", tc.assoc, i, addr)
 			}
@@ -354,8 +308,10 @@ func TestAccessSpecializationsMatchGeneric(t *testing.T) {
 		if ra != sa || rm != sm {
 			t.Fatalf("assoc %d: stats %d/%d vs %d/%d", tc.assoc, ra, rm, sa, sm)
 		}
-		want, got := ref.Snapshot(), spec.Snapshot()
-		if !reflect.DeepEqual(want, got) {
+		if ref.counter != spec.counter ||
+			!reflect.DeepEqual(ref.tags, spec.tags) ||
+			!reflect.DeepEqual(ref.valid, spec.valid) ||
+			!reflect.DeepEqual(ref.lru, spec.lru) {
 			t.Fatalf("assoc %d: final contents diverged", tc.assoc)
 		}
 	}

@@ -62,7 +62,7 @@ type Options struct {
 	// benchmarking and as an escape hatch. Implied by DisableCompile.
 	DisableBlocked bool
 	// DisableFastSim forces every simulation through the full warmup
-	// walk instead of the pooled, warm-state-memoizing fast path. Output
+	// walk instead of the pooled, outcome-memoizing fast path. Output
 	// is bit-identical either way; the switch exists for benchmarking
 	// and as an escape hatch.
 	DisableFastSim bool

@@ -6,10 +6,11 @@
 package depthstudy
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -135,11 +136,6 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		// depth's designs occupy one contiguous block of the sweep — walk
 		// it directly instead of decoding points.
 		lo, hi := space.DepthBlock(di)
-		effs := make([]float64, 0, hi-lo)
-		type scored struct {
-			idx int
-			eff float64
-		}
 		all := make([]scored, 0, hi-lo)
 		bound := scored{idx: -1, eff: math.Inf(-1)}
 		beats := 0
@@ -149,8 +145,6 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 				continue
 			}
 			eff := metrics.BIPS3W(p.BIPS, p.Watts)
-			rel := eff / res.OriginalBestEff
-			effs = append(effs, rel)
 			all = append(all, scored{idx: flat, eff: eff})
 			if eff > bound.eff {
 				bound = scored{idx: flat, eff: eff}
@@ -162,12 +156,13 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		if bound.idx < 0 {
 			return nil, fmt.Errorf("depthstudy: no valid designs at %d FO4", d)
 		}
+		box, top := summarizeBlock(all, res.OriginalBestEff, opts.TopPercentile)
 		row := DepthRow{
 			DepthFO4:           d,
 			OriginalModelBIPS:  origBIPS[di],
 			OriginalModelWatts: origWatts[di],
 			OriginalModelEff:   origEff[di],
-			EffBox:             stats.NewBoxplot(effs),
+			EffBox:             box,
 			BoundConfig:        space.Config(space.PointAt(bound.idx)),
 			BoundModelEff:      bound.eff,
 			BoundModelBIPS:     preds[bound.idx].BIPS,
@@ -176,9 +171,6 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		}
 
 		// Figure 5(b): D-L1 size distribution among the top designs.
-		sort.Slice(all, func(a, b int) bool { return all[a].eff < all[b].eff })
-		cut := int(float64(len(all)) * opts.TopPercentile)
-		top := all[cut:]
 		hist := make(map[int]float64)
 		for _, s := range top {
 			cfg := space.Config(space.PointAt(s.idx))
@@ -226,6 +218,35 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// scored is one valid design of a depth block: its flat sweep index and
+// its predicted bips^3/w.
+type scored struct {
+	idx int
+	eff float64
+}
+
+// summarizeBlock summarizes one depth block's valid designs: the boxplot
+// of their efficiencies relative to norm (Figure 5a) and the designs at
+// or above the topPct quantile (Figure 5b). It sorts designs in place,
+// once, by (efficiency, flat index); the index tie-break makes the top
+// set a function of the block's contents alone, never of its order or
+// of the sort algorithm. Dividing by a positive norm preserves the
+// order, so the boxplot receives its input already sorted.
+func summarizeBlock(designs []scored, norm, topPct float64) (stats.Boxplot, []scored) {
+	slices.SortFunc(designs, func(a, b scored) int {
+		if c := cmp.Compare(a.eff, b.eff); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	effs := make([]float64, len(designs))
+	for i, s := range designs {
+		effs[i] = s.eff / norm
+	}
+	cut := int(float64(len(designs)) * topPct)
+	return stats.NewBoxplot(effs), designs[cut:]
 }
 
 // SuiteAverage combines per-benchmark results into the benchmark-average

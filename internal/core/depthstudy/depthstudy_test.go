@@ -2,9 +2,11 @@ package depthstudy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 var shared *core.Explorer
@@ -221,5 +223,37 @@ func TestModelFindsSimulatorOptimumWithin3FO4(t *testing.T) {
 	if d := avg.BestOriginalDepth - simBest; d < -3 || d > 3 {
 		t.Fatalf("model optimum %d vs simulated %d differ by more than 3 FO4",
 			avg.BestOriginalDepth, simBest)
+	}
+}
+
+// TestSummarizeBlockOrderIndependent pins that a depth block's summary —
+// its boxplot and its top-percentile design set — depends on the block's
+// contents alone: shuffling the designs leaves it unchanged, ties in
+// efficiency included.
+func TestSummarizeBlockOrderIndependent(t *testing.T) {
+	r := rng.New(5)
+	const n = 3000
+	block := make([]scored, n)
+	for i := range block {
+		// Few distinct values, so many designs tie on efficiency,
+		// straddling the top-percentile cut among them.
+		block[i] = scored{idx: 1000 + i, eff: float64(1 + r.Intn(40))}
+	}
+	wantBox, wantTop := summarizeBlock(append([]scored(nil), block...), 7.5, 0.95)
+	if len(wantTop) != n-int(n*0.95) {
+		t.Fatalf("top set has %d designs, want %d", len(wantTop), n-int(n*0.95))
+	}
+	for trial := 0; trial < 5; trial++ {
+		shuffled := make([]scored, n)
+		for i, j := range r.Perm(n) {
+			shuffled[i] = block[j]
+		}
+		box, top := summarizeBlock(shuffled, 7.5, 0.95)
+		if !reflect.DeepEqual(box, wantBox) {
+			t.Fatalf("trial %d: boxplot %+v, want %+v", trial, box, wantBox)
+		}
+		if !reflect.DeepEqual(top, wantTop) {
+			t.Fatalf("trial %d: top set changed with block order", trial)
+		}
 	}
 }

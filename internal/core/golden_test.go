@@ -168,7 +168,7 @@ func TestSweepGuardCheckRateMatchesScalar(t *testing.T) {
 }
 
 // TestSimFastPathVsDisabledIdentical compares the simulator's default
-// fast path (pooled scratch + memoized warm state) against the
+// fast path (pooled scratch + memoized outcomes) against the
 // DisableFastSim full-warmup path through the public Explorer surface,
 // for bit-identical output, and checks the warm memo actually engaged.
 func TestSimFastPathVsDisabledIdentical(t *testing.T) {

@@ -84,13 +84,13 @@ type EngineStats struct {
 	// concurrent network requests into one engine batch, so the ratio of
 	// coalesced requests to BatchCalls is the measured batching factor.
 	BatchCalls int64
-	// WarmHits counts simulator runs that restored a memoized warm
-	// cache/BHT state instead of walking the warmup; zero for backends
-	// without a warm-state memo.
+	// WarmHits counts simulator runs that replayed a memoized cache/BHT
+	// outcome mask instead of walking the warmup; zero for backends
+	// without an outcome memo.
 	WarmHits int64
 	// WarmMisses counts simulator runs that walked their own warmup
 	// (including every first run of a geometry); zero for backends
-	// without a warm-state memo.
+	// without an outcome memo.
 	WarmMisses int64
 	// PanicsRecovered counts backend panics converted into typed
 	// TaskErrors by per-worker recovery.
@@ -257,7 +257,7 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // warmStatser is probed on the backend so engines over the simulator
-// surface its warm-state memo counters without the engine depending on
+// surface its outcome memo counters without the engine depending on
 // the sim package.
 type warmStatser interface {
 	WarmStats() (hits, misses int64)

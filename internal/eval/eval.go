@@ -73,8 +73,8 @@ func RequestsFor(cfgs []arch.Config, bench string) []Request {
 // Simulator is the detailed-simulation backend: it synthesizes (and
 // memoizes) the benchmark trace, runs the cycle-accounting core model and
 // derives power from the activity counts. By default runs go through the
-// sim.Runner fast path — pooled scratch plus memoized warm cache/BHT
-// state per (trace, geometry) — which is bit-identical to the full
+// sim.Runner fast path — pooled scratch plus memoized cache/BHT outcomes
+// per (trace, geometry) — which is bit-identical to the full
 // warmup path. Safe for concurrent use; traces are immutable once
 // synthesized and runner state is internally synchronized.
 type Simulator struct {
@@ -82,7 +82,7 @@ type Simulator struct {
 	TraceLen int
 
 	// DisableFastSim forces every run through sim.Run's full warmup walk
-	// instead of the runner's memoized warm state. Output is
+	// instead of the runner's memoized outcomes. Output is
 	// bit-identical either way; the switch exists for benchmarking and
 	// as an escape hatch, mirroring core.Options.DisableCompile.
 	DisableFastSim bool
@@ -143,12 +143,15 @@ func (s *Simulator) GuardStats() (checks, divergences int64, degraded bool) {
 	return s.guard.Stats()
 }
 
-// WarmStats returns the runner's warm-state memo counters: runs that
-// restored a memoized warm hierarchy (hits) versus runs that walked
-// their own warmup (misses).
+// WarmStats returns the runner's outcome memo counters: runs that
+// replayed a memoized outcome mask (hits) versus runs that walked their
+// own warmup (misses).
 func (s *Simulator) WarmStats() (hits, misses int64) {
 	return s.runner.WarmStats()
 }
+
+// MemoBytes returns the bytes of outcome masks the runner's memo holds.
+func (s *Simulator) MemoBytes() int64 { return s.runner.MemoBytes() }
 
 // traceFor returns the memoized trace for a benchmark, synthesizing it on
 // first use. The steady-state path is one atomic load and a map read —
@@ -206,7 +209,7 @@ func (s *Simulator) traceFor(bench string) (*trace.Trace, error) {
 }
 
 // Evaluate implements Evaluator by detailed simulation. Runs go through
-// the pooled, warm-state-memoizing fast path unless DisableFastSim is
+// the pooled, outcome-memoizing fast path unless DisableFastSim is
 // set or the guardrail has tripped; the two paths produce bit-identical
 // results, and the guardrail recomputes roughly one in
 // DefaultSimGuardInterval fast runs on the reference path to prove it
@@ -231,7 +234,7 @@ func (s *Simulator) Evaluate(cfg arch.Config, bench string) (float64, float64, e
 	bips, watts := res.BIPS, power.Watts(&res)
 	if fault.Active() {
 		// Injection point for silent fast-path corruption: flips model a
-		// bad memoized warm state or a scratch-pool bug.
+		// bad memoized outcome mask or a scratch-pool bug.
 		bips = fault.Flip("eval.sim.fast", bips)
 		watts = fault.Flip("eval.sim.fast", watts)
 	}

@@ -18,9 +18,9 @@ func TestSimulatorFastPathMatchesDisabled(t *testing.T) {
 	for _, bench := range []string{"gzip", "mcf"} {
 		for _, p := range space.SampleUAR(4, 99) {
 			cfg := space.Config(p)
-			// Three times through the fast backend: the warm-miss, the
-			// snapshot-restore (outcome-recording) and the outcome-replay
-			// runs must all match the full-warmup path.
+			// Three times through the fast backend: the warm-miss run
+			// that records the outcome mask and the runs that replay
+			// the memoized mask must all match the full-warmup path.
 			for pass := 0; pass < 3; pass++ {
 				gb, gw, err := fast.Evaluate(cfg, bench)
 				if err != nil {
@@ -47,7 +47,7 @@ func TestSimulatorFastPathMatchesDisabled(t *testing.T) {
 }
 
 // TestEngineStatsExposeWarmCounters checks that an engine over the
-// simulator backend surfaces its warm-state memo counters through Stats
+// simulator backend surfaces its outcome memo counters through Stats
 // and differences them through StatsEpoch.
 func TestEngineStatsExposeWarmCounters(t *testing.T) {
 	s := NewSimulator(20000)

@@ -7,26 +7,25 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/branch"
-	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// DefaultWarmBudget bounds the total heap the warm-state memo may hold.
-// A full training sweep touches at most il1×dl1×l2 = 125 geometry
-// combinations per benchmark (~10 MB each suite-wide at the largest L2),
-// so the default comfortably covers the paper's workloads; overflowing
-// runs simply fall back to walking their own warmup.
+// DefaultWarmBudget bounds the total heap the outcome-mask memo may
+// hold. A mask costs one byte per timed instruction, and a full training
+// sweep touches at most il1×dl1×l2 = 125 geometry combinations per
+// benchmark, so the default comfortably covers the paper's workloads;
+// overflowing runs simply warm and record their own mask.
 const DefaultWarmBudget int64 = 256 << 20
 
-// warmKey identifies one memoizable warm state. Warmup touches only the
-// caches and the branch predictor, so warmed state depends on nothing
-// but the trace and the cache geometries — never on latencies, width,
-// depth, pools or queues (the BHT geometry is a package constant). Keys
-// hold the trace pointer: traces are immutable and memoized per
-// (benchmark, length), so pointer identity is exactly trace identity.
+// warmKey identifies one memoizable outcome stream. Warmup and the timed
+// region's cache and predictor traffic touch only the caches and the
+// branch predictor, so their outcomes depend on nothing but the trace
+// and the cache geometries — never on latencies, width, depth, pools or
+// queues (the BHT geometry is a package constant). Keys hold the trace
+// pointer: traces are immutable and memoized per (benchmark, length), so
+// pointer identity is exactly trace identity.
 type warmKey struct {
 	tr       *trace.Trace
 	il1KB    int
@@ -35,43 +34,27 @@ type warmKey struct {
 	l2KB     int
 }
 
-// warmState is the warmed hierarchy: one snapshot per cache plus the
-// trained branch history table, captured right after the warmup passes
-// and their stats reset.
-type warmState struct {
-	il1 *cache.Snapshot
-	dl1 *cache.Snapshot
-	l2  *cache.Snapshot
-	bht *branch.Snapshot
-}
-
-func (w *warmState) bytes() int64 {
-	return w.il1.Bytes() + w.dl1.Bytes() + w.l2.Bytes() + w.bht.Bytes()
-}
-
-// warmEntry is one key's memo slot: the once runs the warmup walk
-// exactly once however many goroutines race on the key; state stays nil
-// when the memo budget is exhausted (or the walk failed), in which case
-// later runs warm themselves. mask is the key's recorded outcome stream
-// (one byte per timed instruction, see the m* bits in kernel.go),
-// captured by the first snapshot-restored run and replayed by every run
-// after it; it stays nil until recorded, or forever if the budget is
-// exhausted.
+// warmEntry is one key's memo slot: the once walks the warmup and
+// records the key's outcome mask (one byte per timed instruction, see
+// the m* bits in kernel.go) exactly once however many goroutines race on
+// the key. mask is written only inside the once, so every caller that
+// returns from the once sees it; it stays nil when the memo budget is
+// exhausted (or the walk failed), in which case later runs warm and
+// record their own.
 type warmEntry struct {
-	once  sync.Once
-	state *warmState
-	mask  atomic.Pointer[[]byte]
+	once sync.Once
+	mask []byte
 }
 
 type warmMap map[warmKey]*warmEntry
 
 // Runner is the simulator's steady-state fast path: a pool of run
-// scratch plus a memo of warmed cache and branch-predictor state keyed
-// by (trace, cache geometry). The first run of each key walks the full
-// warmup and snapshots the result; every later run restores the snapshot
-// into pooled arrays and goes straight to the timed kernel, skipping the
-// warmup walk entirely. Results are bit-identical to Run's. Safe for
-// concurrent use.
+// scratch plus a memo of recorded cache and branch-predictor outcomes
+// keyed by (trace, cache geometry). The first run of each key walks the
+// full warmup and records the timed region's outcomes; every run of the
+// key, the first included, then replays them through the timing-only
+// kernel without touching the hierarchy. Results are bit-identical to
+// Run's. Safe for concurrent use.
 type Runner struct {
 	pool   sync.Pool
 	warm   atomic.Pointer[warmMap]
@@ -82,8 +65,7 @@ type Runner struct {
 	misses atomic.Int64
 }
 
-// NewRunner returns a fast-path runner with the default warm-state
-// budget.
+// NewRunner returns a fast-path runner with the default memo budget.
 func NewRunner() *Runner {
 	r := &Runner{budget: DefaultWarmBudget}
 	r.pool.New = func() any { return new(Scratch) }
@@ -92,17 +74,21 @@ func NewRunner() *Runner {
 	return r
 }
 
-// SetWarmBudget caps the memo's total snapshot bytes. Runs whose warm
-// state would exceed the cap warm themselves and nothing is evicted;
-// results are unaffected either way. Call before the runner is shared.
+// SetWarmBudget caps the memo's total outcome-mask bytes. Runs whose
+// mask would exceed the cap warm and record their own and nothing is
+// evicted; results are unaffected either way. Call before the runner is
+// shared.
 func (r *Runner) SetWarmBudget(bytes int64) { r.budget = bytes }
 
-// WarmStats returns how many runs restored a memoized warm state (hits)
-// versus walked their own warmup (misses, including every first run of a
-// key).
+// WarmStats returns how many runs replayed a memoized outcome mask
+// (hits) versus walked their own warmup (misses, including every first
+// run of a key).
 func (r *Runner) WarmStats() (hits, misses int64) {
 	return r.hits.Load(), r.misses.Load()
 }
+
+// MemoBytes returns the bytes of outcome masks the memo holds.
+func (r *Runner) MemoBytes() int64 { return r.used.Load() }
 
 // entry returns the memo slot for a key, creating it if needed. The hot
 // path is one atomic load and a map read; inserts copy the map under the
@@ -138,8 +124,8 @@ func (r *Runner) Run(cfg arch.Config, tr *trace.Trace) (*Result, error) {
 }
 
 // RunInto simulates through the fast path into caller-owned storage.
-// On a warm hit it performs zero steady-state heap allocations; output
-// is bit-identical to Run's full-warmup path.
+// It performs zero steady-state heap allocations; output is
+// bit-identical to Run's full-warmup path.
 func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 	p, err := Derive(cfg)
 	if err != nil {
@@ -168,12 +154,13 @@ func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 	return nil
 }
 
-// runFast simulates through the memo's fastest available tier. The first
-// run of a key walks the warmup and snapshots the warmed hierarchy; the
-// second restores the snapshot and records the timed region's cache and
-// predictor outcomes; every run after that replays the recorded outcomes
-// without touching the hierarchy at all. All three tiers produce
-// bit-identical results.
+// runFast simulates in two steps per key: record once, replay always.
+// The key's first run walks the warmup and records the timed region's
+// cache and predictor outcomes into a budget-charged mask; concurrent
+// first runs wait for it. Every run then replays the mask through the
+// timing-only kernel. Over budget, a run warms and records into its
+// scratch's own mask buffer instead, so results never depend on the
+// budget.
 func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) error {
 	key := warmKey{
 		tr:       tr,
@@ -183,77 +170,58 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 		l2KB:     p.Config.L2KB,
 	}
 	e := r.entry(key)
-	warmed := false
+	size := int64(tr.Len() - warmupLen(tr.Len()))
+	first := false
 	var onceErr error
 	e.once.Do(func() {
-		// First run of this key: walk the warmup in this scratch, then
-		// snapshot it for everyone else — unless that would bust the
-		// budget, in which case the state simply is not memoized.
-		if onceErr = s.configure(p); onceErr != nil {
+		first = true
+		if r.used.Add(size) > r.budget {
+			r.used.Add(-size)
 			return
 		}
-		s.warmup(tr)
-		st := &warmState{
-			il1: s.il1.Snapshot(),
-			dl1: s.dl1.Snapshot(),
-			l2:  s.l2.Snapshot(),
-			bht: s.bht.Snapshot(),
+		mask := make([]byte, size)
+		if onceErr = s.warmRecord(p, tr, mask); onceErr != nil {
+			r.used.Add(-size)
+			return
 		}
-		if r.used.Add(st.bytes()) <= r.budget {
-			e.state = st
-		} else {
-			r.used.Add(-st.bytes())
-		}
-		warmed = true
+		e.mask = mask
 	})
 	if onceErr != nil {
 		return onceErr
 	}
+	mask := e.mask
 	switch {
-	case warmed:
-		// This goroutine just walked the warmup; its scratch is hot.
-		r.misses.Add(1)
-		simWarmMisses.Add(1)
-		s.timedFast(out, p, tr, nil)
-	case e.state != nil:
-		if m := e.mask.Load(); m != nil {
-			// Outcome replay: no restore, no cache or predictor work.
-			r.hits.Add(1)
-			simWarmHits.Add(1)
-			simWarmReplays.Add(1)
-			s.timedReplay(out, p, tr, *m)
-			return nil
+	case mask == nil:
+		// Over budget (or the first walk failed): warm and record locally.
+		if cap(s.mask) < int(size) {
+			s.mask = make([]byte, size)
 		}
-		s.il1.Restore(e.state.il1)
-		s.dl1.Restore(e.state.dl1)
-		s.l2.Restore(e.state.l2)
-		s.bht.Restore(e.state.bht)
-		r.hits.Add(1)
-		simWarmHits.Add(1)
-		// Record the key's outcome stream during this run so later runs
-		// can replay it. Concurrent recorders of the same key produce
-		// identical bytes; the first to publish wins and the rest refund
-		// their budget charge.
-		var rec []byte
-		size := int64(tr.Len() - warmupLen(tr.Len()))
-		if r.used.Add(size) <= r.budget {
-			rec = make([]byte, size)
-		} else {
-			r.used.Add(-size)
-		}
-		s.timedFast(out, p, tr, rec)
-		if rec != nil && !e.mask.CompareAndSwap(nil, &rec) {
-			r.used.Add(-size)
-		}
-	default:
-		// Over budget (or the first walk failed): warm locally.
-		if err := s.configure(p); err != nil {
+		mask = s.mask[:size]
+		if err := s.warmRecord(p, tr, mask); err != nil {
 			return err
 		}
-		s.warmup(tr)
 		r.misses.Add(1)
 		simWarmMisses.Add(1)
-		s.timedFast(out, p, tr, nil)
+	case first:
+		r.misses.Add(1)
+		simWarmMisses.Add(1)
+	default:
+		r.hits.Add(1)
+		simWarmHits.Add(1)
+		simWarmReplays.Add(1)
 	}
+	s.timedReplay(out, p, tr, mask)
+	return nil
+}
+
+// warmRecord reshapes the scratch's hierarchy to the configuration's
+// geometry, walks the warmup and records the timed region's outcomes
+// into mask.
+func (s *Scratch) warmRecord(p Params, tr *trace.Trace, mask []byte) error {
+	if err := s.configure(p); err != nil {
+		return err
+	}
+	s.warmup(tr)
+	s.record(p, tr, mask)
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -30,7 +31,7 @@ func testTrace(t *testing.T, bench string) *trace.Trace {
 
 // TestFastPathGolden pins the fast path to the seed path bit-for-bit:
 // for sampled configurations across every benchmark, a Runner (memoized
-// warm state, pooled scratch) must reproduce the full-warmup result
+// outcomes, pooled scratch) must reproduce the full-warmup result
 // exactly — same cycles, same activity, same floats.
 func TestFastPathGolden(t *testing.T) {
 	space := arch.ExplorationSpace()
@@ -41,11 +42,10 @@ func TestFastPathGolden(t *testing.T) {
 		for _, p := range points {
 			cfg := space.Config(p)
 			want := fullRun(t, cfg, tr)
-			// Three times per key, once per memo tier: the first run warms
-			// the memo (miss), the second restores the snapshot and records
-			// the outcome mask, the third replays the mask; all must match
-			// the seed.
-			for pass := 0; pass < 3; pass++ {
+			// Twice per key, once per memo step: the first run warms and
+			// records the outcome mask (miss), the second replays the
+			// memoized mask (hit); both must match the seed.
+			for pass := 0; pass < 2; pass++ {
 				got, err := r.Run(cfg, tr)
 				if err != nil {
 					t.Fatal(err)
@@ -65,7 +65,8 @@ func TestFastPathGolden(t *testing.T) {
 
 // TestWarmStateCrossGeometry interleaves runs with distinct cache
 // geometries through one Runner and checks each against a fresh
-// full-warmup run: restored warm state must never leak between keys.
+// full-warmup run: a recorded outcome mask must never leak between
+// keys.
 func TestWarmStateCrossGeometry(t *testing.T) {
 	tr := testTrace(t, "mcf")
 	base := arch.Baseline()
@@ -83,7 +84,7 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if *got != *want {
-			t.Fatalf("run %d (%v): warm state leaked across geometries\n got %+v\nwant %+v",
+			t.Fatalf("run %d (%v): recorded outcomes leaked across geometries\n got %+v\nwant %+v",
 				i, cfg, got, want)
 		}
 	}
@@ -94,8 +95,10 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 }
 
 // TestWarmBudgetFallback pins the over-budget behaviour: with a zero
-// budget nothing is memoized — every run warms itself — and results are
-// still bit-identical to the seed path.
+// budget nothing is memoized — every run warms and records into its
+// scratch's own mask and counts as a miss — results are still
+// bit-identical to the seed path, the memo holds no bytes, and steady
+// state still allocates nothing.
 func TestWarmBudgetFallback(t *testing.T) {
 	tr := testTrace(t, "gzip")
 	cfg := arch.Baseline()
@@ -108,12 +111,107 @@ func TestWarmBudgetFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if *got != *want {
-			t.Fatalf("run %d: over-budget path diverged", i)
+			t.Fatalf("run %d: over-budget path diverged\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 	hits, misses := r.WarmStats()
 	if hits != 0 || misses != 3 {
 		t.Fatalf("warm stats hits=%d misses=%d, want 0/3 under zero budget", hits, misses)
+	}
+	if used := r.MemoBytes(); used != 0 {
+		t.Fatalf("memo holds %d bytes under zero budget, want 0", used)
+	}
+	for k, e := range *r.warm.Load() {
+		if e.mask != nil {
+			t.Fatalf("key %+v memoized a mask under zero budget", k)
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are skewed by race-detector instrumentation
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var out Result
+	if err := r.RunInto(&out, cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		if err := r.RunInto(&out, cfg, tr); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("over-budget RunInto allocates %v per steady-state run, want 0", avg)
+	}
+}
+
+// TestConcurrentFirstRuns races goroutines on one fresh key: exactly one
+// walks the warmup and records the mask, the rest wait for it and replay,
+// and every result matches the seed path. Run under -race it also checks
+// that publishing the mask through the key's once is properly
+// synchronized.
+func TestConcurrentFirstRuns(t *testing.T) {
+	const goroutines = 8
+	tr := testTrace(t, "twolf")
+	base := arch.Baseline()
+	cfgs := make([]arch.Config, goroutines)
+	wants := make([]*Result, goroutines)
+	for g := range cfgs {
+		// One warm key, distinct timing parameters per goroutine.
+		cfgs[g] = base
+		cfgs[g].GPR = base.GPR + 10*g
+		wants[g] = fullRun(t, cfgs[g], tr)
+	}
+	r := NewRunner()
+	got := make([]*Result, goroutines)
+	errs := make([]error, goroutines)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		done.Add(1)
+		go func(g int) {
+			defer done.Done()
+			start.Wait()
+			got[g], errs[g] = r.Run(cfgs[g], tr)
+		}(g)
+	}
+	start.Done()
+	done.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if *got[g] != *wants[g] {
+			t.Fatalf("goroutine %d diverged from the seed path\n got %+v\nwant %+v", g, got[g], wants[g])
+		}
+	}
+	hits, misses := r.WarmStats()
+	if hits != goroutines-1 || misses != 1 {
+		t.Fatalf("warm stats hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
+	}
+}
+
+// TestMemoAccounting pins the budget charge: each memoized key holds one
+// mask byte per timed instruction and nothing else, however often the
+// key is run.
+func TestMemoAccounting(t *testing.T) {
+	tr := testTrace(t, "mcf")
+	base := arch.Baseline()
+	r := NewRunner()
+	const keys = 4
+	for k := 0; k < keys; k++ {
+		cfg := base
+		cfg.L2KB = base.L2KB << k
+		for pass := 0; pass < 2; pass++ {
+			if _, err := r.Run(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	timed := int64(tr.Len() - warmupLen(tr.Len()))
+	if used := r.MemoBytes(); used != keys*timed {
+		t.Fatalf("memo holds %d bytes after %d keys, want %d × %d", used, keys, keys, timed)
+	}
+	if n := len(*r.warm.Load()); n != keys {
+		t.Fatalf("memo has %d keys, want %d", n, keys)
 	}
 }
 
@@ -197,8 +295,8 @@ func BenchmarkRunnerWarm(b *testing.B) {
 // cache and predictor outcomes recorded under one configuration replay
 // bit-identically under configurations with different widths, depths,
 // latencies, pools and queues, as long as the warm key (trace, cache
-// geometry) matches. The third config's first run replays a mask that
-// was recorded by the second config's run.
+// geometry) matches. Every run after the first replays the mask the
+// first config's run recorded.
 func TestReplayAcrossConfigs(t *testing.T) {
 	tr := testTrace(t, "gcc")
 	base := arch.Baseline()
@@ -223,49 +321,5 @@ func TestReplayAcrossConfigs(t *testing.T) {
 	hits, misses := r.WarmStats()
 	if hits != 3 || misses != 1 {
 		t.Fatalf("warm stats hits=%d misses=%d, want 3/1 (one key, four configs)", hits, misses)
-	}
-}
-
-// TestMaskBudgetFallback pins the intermediate memo state: a budget that
-// fits the warm snapshots but not the outcome mask keeps every later run
-// on the snapshot-restore tier, still bit-identical and still counted as
-// a warm hit.
-func TestMaskBudgetFallback(t *testing.T) {
-	tr := testTrace(t, "gzip")
-	cfg := arch.Baseline()
-
-	// Learn the snapshot footprint of this key with an unbounded budget.
-	probe := NewRunner()
-	if _, err := probe.Run(cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := probe.used.Load()
-	if snapBytes <= 0 {
-		t.Fatalf("snapshot bytes = %d, want > 0", snapBytes)
-	}
-
-	r := NewRunner()
-	r.SetWarmBudget(snapBytes) // snapshots fit exactly; any mask overflows
-	want := fullRun(t, cfg, tr)
-	for i := 0; i < 3; i++ {
-		got, err := r.Run(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("run %d: snapshot-tier fallback diverged", i)
-		}
-	}
-	hits, misses := r.WarmStats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("warm stats hits=%d misses=%d, want 2/1", hits, misses)
-	}
-	if e, ok := (*r.warm.Load())[warmKey{tr, cfg.IL1KB, cfg.DL1KB, DL1Assoc, cfg.L2KB}]; !ok {
-		t.Fatal("warm entry missing")
-	} else if e.mask.Load() != nil {
-		t.Fatal("outcome mask recorded despite exhausted budget")
-	}
-	if used := r.used.Load(); used != snapBytes {
-		t.Fatalf("budget accounting drifted: used %d, want %d", used, snapBytes)
 	}
 }

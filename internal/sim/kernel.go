@@ -8,8 +8,8 @@ import "repro/internal/trace"
 // their hit/miss/mispredict outcomes are identical across every
 // configuration — latencies, width, depth, pools and queues change when
 // events cost, never whether they occur. Recording the outcomes once per
-// key lets later runs replay them without simulating the hierarchy at
-// all (timedReplay).
+// key (record) lets every run of the key replay them without simulating
+// the hierarchy at all (timedReplay).
 const (
 	mIL1Miss    byte = 1 << iota // instruction fetch missed the IL1
 	mIL2Miss                     // ...and the L2 (memory fill)
@@ -18,106 +18,44 @@ const (
 	mMispredict                  // branch was mispredicted
 )
 
-// timedFast is the specialized cycle-accounting kernel the Runner fast
-// path uses. It computes exactly what timed computes — the golden tests
-// in fast_test.go and the eval/core layers pin the two bit-for-bit — but
-// restructures the loop for speed:
+// record walks the timed region's cache and branch-predictor traffic,
+// assuming the scratch's hierarchy holds warmed state, and writes each
+// instruction's outcomes into mask (one byte per timed instruction, the
+// m* bits). It touches the hierarchy in exactly the reference kernel's
+// order — the instruction fetch, then the L2 on an I-miss, then the data
+// access of a load or store, then the L2 on a D-miss, then the branch
+// history table — and nothing else: no latency, width or queue parameter
+// is read, so the mask is a function of the warm key alone.
 //
-//   - One switch on the instruction kind selects a straight-line block
-//     per kind, replacing the reference kernel's routing tables, nil
-//     checks and second execute switch with direct ring references.
-//   - Bandwidth-style rings (functional units, retire slots) fuse their
-//     earliest/commit pair into one slot-array touch via ring.bw. The
-//     fetch ring cannot fuse: an I-cache miss stall lands between its
-//     earliest and its commit.
-//   - The instruction cache is always direct-mapped (IL1Assoc is a
-//     package constant of 1), so lookups go through the inlinable
-//     cache.AccessDirect, and consecutive instructions in the same cache
-//     block — the overwhelmingly common case — short-circuit the tag
-//     compare entirely through cache.Rehit. Both leave state
-//     bit-identical to the reference Access path.
-//   - The data cache takes the same AccessDirect shortcut when the
-//     configuration is direct-mapped.
-//
-// The reference kernel stays the plain transcription of the pipeline
-// model; this file is allowed to be clever precisely because timed is
-// not, mirroring how the compiled model tables are pinned against the
-// interpreted models under DisableCompile.
-//
-// When rec is non-nil it must hold one byte per timed instruction; the
-// kernel records each instruction's cache and predictor outcomes into it
-// (the m* mask bits) so later runs of the same warm key can replay them
-// through timedReplay.
-func (s *Scratch) timedFast(out *Result, p Params, tr *trace.Trace, rec []byte) {
-	cfg := p.Config
+// The instruction cache is always direct-mapped (IL1Assoc is a package
+// constant of 1), so lookups go through the inlinable cache.AccessDirect,
+// and consecutive instructions in the same cache block — the
+// overwhelmingly common case — short-circuit the tag compare entirely
+// through cache.Rehit. The data cache and the L2 dispatch once per run
+// to the unrolled access of their associativity: every design-space
+// configuration has a 2-way data cache and a 4-way L2 (Table 3), with
+// direct-mapped and generic fallbacks for the override extensions. All
+// of these leave state bit-identical to the generic Access path the
+// reference kernel takes.
+func (s *Scratch) record(p Params, tr *trace.Trace, mask []byte) {
 	n := tr.Len()
 	warm := warmupLen(n)
-	rings := s.prepare(p, n, warm)
-	complete := s.complete
-	fetchBW := &rings[0]
-	retireBW := &rings[1]
-	gpr := &rings[2]
-	fpr := &rings[3]
-	spr := &rings[4]
-	rsFX := &rings[5]
-	rsFP := &rings[6]
-	rsBR := &rings[7]
-	lsq := &rings[8]
-	sq := &rings[9]
-	fuFX := &rings[10]
-	fuFP := &rings[11]
-	fuLS := &rings[12]
-	fuBR := &rings[13]
-
+	mask = mask[:n-warm]
 	il1, dl1, l2, bht := &s.il1, &s.dl1, &s.l2, &s.bht
-	il1Lat := int64(p.IL1Cycles)
-	dl1Lat := int64(p.DL1Cycles)
-	l2Lat := int64(p.L2Cycles)
-	memLat := int64(p.MemCycles)
 	il1Shift := il1.BlockShift()
 	il1Mask := il1.SetMask()
-	// Associativity dispatch, resolved once per run: every design-space
-	// configuration has a 2-way data cache and a 4-way L2 (Table 3), with
-	// direct-mapped and generic fallbacks for the override extensions.
 	dl1Direct := p.DL1Assoc == 1
 	dl1Two := p.DL1Assoc == 2
 	l2Four := l2.Assoc() == 4
-	redirectLat := p.MispredictRedirect()
-
-	var act Activity
-	frontend := int64(p.FrontendStages)
-
-	var (
-		redirect     int64
-		lastFetch    int64
-		lastDispatch int64
-		lastIssue    int64
-		lastRetire   int64
-		prevTakenAt  int64 = -1
-		lastIBlk     int64 = -1 // I-block of the previous fetch; -1 = none
-	)
-	inOrder := cfg.InOrder
+	lastIBlk := int64(-1) // I-block of the previous fetch; -1 = none
 
 	for i := warm; i < n; i++ {
 		in := &tr.Insts[i]
 		var mbits byte
 
-		// ---- Fetch ----
-		f := lastFetch
-		if redirect > f {
-			f = redirect
-		}
-		if prevTakenAt >= 0 && f <= prevTakenAt {
-			f = prevTakenAt + 1
-			prevTakenAt = -1
-		}
-		f = fetchBW.earliest(f)
-
-		// Instruction cache: direct-mapped, so a repeat of the previous
-		// instruction's block is a guaranteed hit (both the hit and the
-		// miss path of that access leave the block resident) and skips
-		// the tag compare.
-		act.IL1Access++
+		// A repeat of the previous instruction's block is a guaranteed
+		// hit: both the hit and the miss path of that access leave the
+		// block resident.
 		blk := in.PC >> il1Shift
 		if int64(blk) == lastIBlk {
 			il1.Rehit(blk & il1Mask)
@@ -125,9 +63,6 @@ func (s *Scratch) timedFast(out *Result, p Params, tr *trace.Trace, rec []byte) 
 			lastIBlk = int64(blk)
 			if !il1.AccessDirect(in.PC) {
 				mbits = mIL1Miss
-				act.IL1Miss++
-				stall := l2Lat
-				act.L2Access++
 				var l2hit bool
 				if l2Four {
 					l2hit = l2.Access4(in.PC)
@@ -136,116 +71,12 @@ func (s *Scratch) timedFast(out *Result, p Params, tr *trace.Trace, rec []byte) 
 				}
 				if !l2hit {
 					mbits |= mIL2Miss
-					act.L2Miss++
-					act.MemAccess++
-					stall += memLat
 				}
-				f += il1Lat + stall
 			}
 		}
-		fetchBW.commit(f + 1)
-		lastFetch = f
 
 		switch in.Kind {
-		case trace.OpInt:
-			d := gpr.earliest(f + frontend)
-			d = rsFX.earliest(d)
-			if d < lastDispatch {
-				d = lastDispatch
-			}
-			lastDispatch = d
-			ready := d + 1
-			if inOrder && lastIssue > ready {
-				ready = lastIssue
-			}
-			if in.Dep1 > 0 {
-				if c := complete[i-int(in.Dep1)]; c > ready {
-					ready = c
-				}
-			}
-			if in.Dep2 > 0 {
-				if c := complete[i-int(in.Dep2)]; c > ready {
-					ready = c
-				}
-			}
-			issue := fuFX.bw(ready)
-			lastIssue = issue
-			act.Issued++
-			act.Int++
-			c := issue + IntLatency
-			complete[i] = c
-			rsFX.commit(issue)
-			ret := c
-			if ret < lastRetire {
-				ret = lastRetire
-			}
-			ret = retireBW.bw(ret)
-			lastRetire = ret
-			gpr.commit(ret)
-
-		case trace.OpFP:
-			d := fpr.earliest(f + frontend)
-			d = rsFP.earliest(d)
-			if d < lastDispatch {
-				d = lastDispatch
-			}
-			lastDispatch = d
-			ready := d + 1
-			if inOrder && lastIssue > ready {
-				ready = lastIssue
-			}
-			if in.Dep1 > 0 {
-				if c := complete[i-int(in.Dep1)]; c > ready {
-					ready = c
-				}
-			}
-			if in.Dep2 > 0 {
-				if c := complete[i-int(in.Dep2)]; c > ready {
-					ready = c
-				}
-			}
-			issue := fuFP.bw(ready)
-			lastIssue = issue
-			act.Issued++
-			act.FP++
-			c := issue + FPLatency
-			complete[i] = c
-			rsFP.commit(issue)
-			ret := c
-			if ret < lastRetire {
-				ret = lastRetire
-			}
-			ret = retireBW.bw(ret)
-			lastRetire = ret
-			fpr.commit(ret)
-
-		case trace.OpLoad:
-			d := gpr.earliest(f + frontend)
-			d = lsq.earliest(d)
-			if d < lastDispatch {
-				d = lastDispatch
-			}
-			lastDispatch = d
-			ready := d + 1
-			if inOrder && lastIssue > ready {
-				ready = lastIssue
-			}
-			if in.Dep1 > 0 {
-				if c := complete[i-int(in.Dep1)]; c > ready {
-					ready = c
-				}
-			}
-			if in.Dep2 > 0 {
-				if c := complete[i-int(in.Dep2)]; c > ready {
-					ready = c
-				}
-			}
-			issue := fuLS.bw(ready)
-			lastIssue = issue
-			act.Issued++
-			act.Load++
-			act.DL1Access++
-			lat := dl1Lat
+		case trace.OpLoad, trace.OpStore:
 			var hit bool
 			switch {
 			case dl1Two:
@@ -257,9 +88,6 @@ func (s *Scratch) timedFast(out *Result, p Params, tr *trace.Trace, rec []byte) 
 			}
 			if !hit {
 				mbits |= mDL1Miss
-				act.DL1Miss++
-				act.L2Access++
-				lat += l2Lat
 				var l2hit bool
 				if l2Four {
 					l2hit = l2.Access4(in.Addr)
@@ -268,155 +96,33 @@ func (s *Scratch) timedFast(out *Result, p Params, tr *trace.Trace, rec []byte) 
 				}
 				if !l2hit {
 					mbits |= mDL2Miss
-					act.L2Miss++
-					act.MemAccess++
-					lat += memLat
 				}
 			}
-			c := issue + lat
-			complete[i] = c
-			lsq.commit(c)
-			ret := c
-			if ret < lastRetire {
-				ret = lastRetire
-			}
-			ret = retireBW.bw(ret)
-			lastRetire = ret
-			gpr.commit(ret)
-
-		case trace.OpStore:
-			d := sq.earliest(f + frontend)
-			if d < lastDispatch {
-				d = lastDispatch
-			}
-			lastDispatch = d
-			ready := d + 1
-			if inOrder && lastIssue > ready {
-				ready = lastIssue
-			}
-			if in.Dep1 > 0 {
-				if c := complete[i-int(in.Dep1)]; c > ready {
-					ready = c
-				}
-			}
-			if in.Dep2 > 0 {
-				if c := complete[i-int(in.Dep2)]; c > ready {
-					ready = c
-				}
-			}
-			issue := fuLS.bw(ready)
-			lastIssue = issue
-			act.Issued++
-			act.Store++
-			act.DL1Access++
-			var hit bool
-			switch {
-			case dl1Two:
-				hit = dl1.Access2(in.Addr)
-			case dl1Direct:
-				hit = dl1.AccessDirect(in.Addr)
-			default:
-				hit = dl1.Access(in.Addr)
-			}
-			if !hit {
-				mbits |= mDL1Miss
-				act.DL1Miss++
-				act.L2Access++
-				var l2hit bool
-				if l2Four {
-					l2hit = l2.Access4(in.Addr)
-				} else {
-					l2hit = l2.Access(in.Addr)
-				}
-				if !l2hit {
-					mbits |= mDL2Miss
-					act.L2Miss++
-					act.MemAccess++
-				}
-			}
-			c := issue + StoreLatency
-			complete[i] = c
-			ret := c
-			if ret < lastRetire {
-				ret = lastRetire
-			}
-			ret = retireBW.bw(ret)
-			lastRetire = ret
-			sq.commit(ret)
-
 		case trace.OpBranch:
-			d := spr.earliest(f + frontend)
-			d = rsBR.earliest(d)
-			if d < lastDispatch {
-				d = lastDispatch
-			}
-			lastDispatch = d
-			ready := d + 1
-			if inOrder && lastIssue > ready {
-				ready = lastIssue
-			}
-			if in.Dep1 > 0 {
-				if c := complete[i-int(in.Dep1)]; c > ready {
-					ready = c
-				}
-			}
-			if in.Dep2 > 0 {
-				if c := complete[i-int(in.Dep2)]; c > ready {
-					ready = c
-				}
-			}
-			issue := fuBR.bw(ready)
-			lastIssue = issue
-			act.Issued++
-			act.Branch++
-			c := issue + BranchLatency
-			complete[i] = c
-			rsBR.commit(issue)
-			act.BranchLookups++
 			if bht.Update(in.PC, in.Taken) {
 				mbits |= mMispredict
-				act.BranchMispredicts++
-				if r := c + redirectLat; r > redirect {
-					redirect = r
-				}
-			} else if in.Taken {
-				prevTakenAt = f
 			}
-			ret := c
-			if ret < lastRetire {
-				ret = lastRetire
-			}
-			ret = retireBW.bw(ret)
-			lastRetire = ret
-			spr.commit(ret)
 		}
-		if rec != nil {
-			rec[i-warm] = mbits
-		}
+		mask[i-warm] = mbits
 	}
-
-	timed := int64(n - warm)
-	cycles := lastRetire + 1
-	if prof, ok := trace.ProfileFor(tr.Name); ok && prof.IPCScale != 1 {
-		cycles = int64(float64(cycles) / prof.IPCScale)
-	}
-	*out = Result{
-		Benchmark:    tr.Name,
-		Config:       cfg,
-		Params:       p,
-		Instructions: timed,
-		Cycles:       cycles,
-		Activity:     act,
-	}
-	out.IPC = float64(timed) / float64(cycles)
-	out.BIPS = out.IPC * p.FreqGHz
 }
 
-// timedReplay is the third-tier kernel: it consumes a recorded outcome
-// mask instead of simulating the caches and the branch predictor, so a
-// replayed run touches no hierarchy state at all — no warmup, no
-// snapshot restore, just latency arithmetic over the resource rings.
-// mask holds one byte per timed instruction as recorded by timedFast;
+// timedReplay is the fast path's cycle-accounting kernel: it consumes a
+// recorded outcome mask instead of simulating the caches and the branch
+// predictor, so it touches no hierarchy state at all — just latency
+// arithmetic over the resource rings. It computes exactly what timed
+// computes (the golden tests in fast_test.go and the eval/core layers
+// pin the two bit-for-bit) but restructures the loop for speed: one
+// switch on the instruction kind selects a straight-line block per kind,
+// replacing the reference kernel's routing tables, nil checks and second
+// execute switch with direct ring references, and bandwidth-style rings
+// (functional units, retire slots) fuse their earliest/commit pair into
+// one slot-array touch via ring.bw. The fetch ring cannot fuse: an
+// I-cache miss stall lands between its earliest and its commit. The
+// reference kernel stays the plain transcription of the pipeline model;
+// this file is allowed to be clever precisely because timed is not.
+//
+// mask holds one byte per timed instruction as recorded by record;
 // because outcomes are configuration-independent within a warm key (see
 // the m* constants), replaying them under different latencies, widths,
 // depths, pools and queues is bit-identical to simulating them.

@@ -108,14 +108,14 @@ func (r *ring) bw(t int64) int64 {
 	return t
 }
 
-// Scratch holds every piece of per-run mutable state the cycle kernel
-// needs: the completion array, the backing storage for the fourteen
-// resource rings, the three caches and the branch history table. A
-// Scratch reaches a steady state after a few runs — its arrays grow to
-// the largest geometry seen and are reused — so simulating through one
-// performs zero heap allocations. The zero value is ready to use.
-// A Scratch is not safe for concurrent use; Run and Runner draw them
-// from pools.
+// Scratch holds every piece of per-run mutable state the cycle kernels
+// need: the completion array, the backing storage for the fourteen
+// resource rings, the three caches, the branch history table and an
+// outcome-mask buffer. A Scratch reaches a steady state after a few runs
+// — its arrays grow to the largest geometry seen and are reused — so
+// simulating through one performs zero heap allocations. The zero value
+// is ready to use. A Scratch is not safe for concurrent use; Run and
+// Runner draw them from pools.
 type Scratch struct {
 	complete []int64
 	ringBuf  []int64
@@ -123,6 +123,7 @@ type Scratch struct {
 	dl1      cache.Cache
 	l2       cache.Cache
 	bht      branch.Predictor
+	mask     []byte // outcome mask of runs the Runner memo cannot hold
 }
 
 // scratchPool recycles run scratch for the package-level Run entry
@@ -317,7 +318,8 @@ func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 // the trace, assuming the scratch's caches and predictor already hold
 // warmed state, and writes the result into out. This is the reference
 // kernel — the straightforward transcription of the pipeline model that
-// the specialized timedFast kernel is pinned against by golden tests.
+// the fast path's record and timedReplay kernels are pinned against by
+// golden tests.
 func (s *Scratch) timed(out *Result, p Params, tr *trace.Trace) {
 	cfg := p.Config
 	n := tr.Len()

@@ -323,3 +323,48 @@ func TestReplayAcrossConfigs(t *testing.T) {
 		t.Fatalf("warm stats hits=%d misses=%d, want 3/1 (one key, four configs)", hits, misses)
 	}
 }
+
+// TestMaskBudgetFallback pins a partly exhausted budget: a budget that
+// fits exactly one key's outcome mask memoizes the first key, whose
+// later runs replay it, while a second key overflows and every one of
+// its runs warms and records its own mask. Both keys stay bit-identical
+// to the seed path, and the rejected charge is given back so the
+// accounting does not drift.
+func TestMaskBudgetFallback(t *testing.T) {
+	tr := testTrace(t, "gzip")
+	base := arch.Baseline()
+	other := base
+	other.L2KB = base.L2KB << 1
+	size := int64(tr.Len() - warmupLen(tr.Len()))
+
+	r := NewRunner()
+	r.SetWarmBudget(size) // one mask fits exactly; a second overflows
+	for _, cfg := range []arch.Config{base, other} {
+		want := fullRun(t, cfg, tr)
+		for i := 0; i < 3; i++ {
+			got, err := r.Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("L2 %d KB run %d: partial-budget path diverged\n got %+v\nwant %+v",
+					cfg.L2KB, i, got, want)
+			}
+		}
+	}
+	// First key: 1 miss then 2 hits; second key: 3 misses.
+	hits, misses := r.WarmStats()
+	if hits != 2 || misses != 4 {
+		t.Fatalf("warm stats hits=%d misses=%d, want 2/4", hits, misses)
+	}
+	memo := *r.warm.Load()
+	if e, ok := memo[warmKey{tr, base.IL1KB, base.DL1KB, DL1Assoc, base.L2KB}]; !ok || e.mask == nil {
+		t.Fatal("first key's outcome mask was not memoized within budget")
+	}
+	if e, ok := memo[warmKey{tr, other.IL1KB, other.DL1KB, DL1Assoc, other.L2KB}]; ok && e.mask != nil {
+		t.Fatal("second key memoized a mask despite exhausted budget")
+	}
+	if used := r.MemoBytes(); used != size {
+		t.Fatalf("budget accounting drifted: used %d, want %d", used, size)
+	}
+}

@@ -544,15 +544,17 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 //
 //   - seed: the full-warmup reference path (DisableFastSim);
 //   - cold: a fresh simulator per iteration and one request per distinct
-//     warm key, so every run walks the warmup, records its key's outcome
-//     mask and replays it — the cost a key pays once;
+//     warm key, so every run builds its key's outcome mask and replays
+//     it — the cost a key pays once. The per-structure outcome streams
+//     the masks are built from are walked once per iteration and shared
+//     by the pass's keys, so a key's own share is mostly its L2 walk;
 //   - replay: the steady state after one untimed pass, every run
 //     replaying a memoized mask — the cost every later run of a key pays.
 //
 // Every tier must produce results bit-identical to the seed's. The rates
 // (runs/sec and simulated timed MInst/sec), the speedups over seed and
-// the memo's bytes after one pass are written to BENCH_train.json at the
-// repo root.
+// the memo's bytes after one pass, in total and in streams, are written
+// to BENCH_train.json at the repo root.
 func BenchmarkTrainDataset(b *testing.B) {
 	traceLen := benchOptions().TraceLen
 	benches := []string{"gzip", "mcf", "twolf"}
@@ -593,7 +595,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 
 	measured := make(map[string]float64)
 	var seedOut []eval.Result
-	var memoBytes int64
+	var memoBytes, streamBytes int64
 	// newBackend returns a simulator and an uncached engine over it, with
 	// every trace synthesized: training amortizes synthesis across every
 	// sample, so no tier pays for it.
@@ -671,7 +673,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 		if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
-		memoBytes = s.MemoBytes()
+		memoBytes, streamBytes = s.MemoBytes(), s.StreamBytes()
 		var out []eval.Result
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -789,6 +791,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 			ColdSpeedup      float64     `json:"cold_speedup"`
 			ReplaySpeedup    float64     `json:"replay_speedup"`
 			MemoBytes        int64       `json:"memo_bytes_after_one_pass"`
+			StreamBytes      int64       `json:"stream_bytes_after_one_pass"`
 			Shards           int         `json:"shards,omitempty"`
 			ShardOverheadPct float64     `json:"shard_overhead_pct,omitempty"`
 			PerShardRates    []shardRate `json:"per_shard_rates,omitempty"`
@@ -803,6 +806,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 			ColdSpeedup:   coldRate / seedRate,
 			ReplaySpeedup: replayRate / seedRate,
 			MemoBytes:     memoBytes,
+			StreamBytes:   streamBytes,
 		}
 		if dsSingleTime > 0 && dsShardedTime > 0 {
 			report.Shards = datasetShards
@@ -824,9 +828,9 @@ func BenchmarkTrainDataset(b *testing.B) {
 		}
 		logFigure(b, fmt.Sprintf(
 			"dataset build: seed %.0f runs/s, cold key %.0f runs/s (%.2fx), replay %.0f runs/s (%.2fx); "+
-				"%d runs over %d warm keys of %d timed instructions, memo %d bytes after one pass",
+				"%d runs over %d warm keys of %d timed instructions, memo %d bytes after one pass (%d in streams)",
 			seedRate, coldRate, coldRate/seedRate, replayRate, replayRate/seedRate,
-			len(reqs), len(coldReqs), timedPerRun, memoBytes))
+			len(reqs), len(coldReqs), timedPerRun, memoBytes, streamBytes))
 	}
 }
 

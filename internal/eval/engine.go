@@ -85,10 +85,10 @@ type EngineStats struct {
 	// coalesced requests to BatchCalls is the measured batching factor.
 	BatchCalls int64
 	// WarmHits counts simulator runs that replayed a memoized cache/BHT
-	// outcome mask instead of walking the warmup; zero for backends
-	// without an outcome memo.
+	// outcome mask instead of building one; zero for backends without
+	// an outcome memo.
 	WarmHits int64
-	// WarmMisses counts simulator runs that walked their own warmup
+	// WarmMisses counts simulator runs that built their own outcome mask
 	// (including every first run of a geometry); zero for backends
 	// without an outcome memo.
 	WarmMisses int64

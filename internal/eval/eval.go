@@ -144,14 +144,19 @@ func (s *Simulator) GuardStats() (checks, divergences int64, degraded bool) {
 }
 
 // WarmStats returns the runner's outcome memo counters: runs that
-// replayed a memoized outcome mask (hits) versus runs that walked their
-// own warmup (misses).
+// replayed a memoized outcome mask (hits) versus runs that built their
+// own (misses).
 func (s *Simulator) WarmStats() (hits, misses int64) {
 	return s.runner.WarmStats()
 }
 
-// MemoBytes returns the bytes of outcome masks the runner's memo holds.
+// MemoBytes returns the bytes the runner's memo holds: outcome masks
+// plus per-structure outcome streams.
 func (s *Simulator) MemoBytes() int64 { return s.runner.MemoBytes() }
+
+// StreamBytes returns the part of MemoBytes held by per-structure outcome
+// streams.
+func (s *Simulator) StreamBytes() int64 { return s.runner.StreamBytes() }
 
 // traceFor returns the memoized trace for a benchmark, synthesizing it on
 // first use. The steady-state path is one atomic load and a map read —

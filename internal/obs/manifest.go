@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -84,8 +85,8 @@ type Manifest struct {
 }
 
 // NewManifest starts a manifest for one command invocation, stamping the
-// start time, Go version and git revision (resolved from the current
-// directory; "unknown" outside a repository).
+// start time, Go version and git revision (see GitRevision: the build's
+// VCS stamp, else the current directory's repository, else "unknown").
 func NewManifest(tool, command string, args []string) *Manifest {
 	now := time.Now()
 	return &Manifest{
@@ -173,11 +174,18 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// GitRevision resolves the repository HEAD commit hash by reading .git
-// directly (no subprocess): it walks up from dir to the nearest .git,
-// follows a symbolic HEAD to its ref file, and falls back to
-// packed-refs. Returns "unknown" when no repository or ref is found.
+// GitRevision returns the commit the running binary was built from. It
+// prefers the revision the go command stamped into the binary, so the
+// answer holds wherever the binary runs, and otherwise resolves HEAD by
+// reading .git directly (no subprocess): it walks up from dir to the
+// nearest .git, follows a symbolic HEAD to its ref file, and falls back
+// to packed-refs. Returns "unknown" when neither source has a revision.
 func GitRevision(dir string) string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		if rev := stampedRevision(info.Settings); rev != "" {
+			return rev
+		}
+	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return "unknown"
@@ -196,6 +204,26 @@ func GitRevision(dir string) string {
 		}
 		abs = parent
 	}
+}
+
+// stampedRevision reads the go command's VCS stamp from build settings:
+// vcs.revision, suffixed "-dirty" when vcs.modified is true, or "" when
+// the build carries no revision.
+func stampedRevision(settings []debug.BuildSetting) string {
+	var rev string
+	dirty := false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 func revisionFromGitDir(gitDir string) string {

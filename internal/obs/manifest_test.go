@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,33 @@ func TestManifestFinishAbsorbsRegistryAndTracer(t *testing.T) {
 	}
 	if m.WallSeconds < 0 {
 		t.Fatal("negative wall time")
+	}
+}
+
+// TestStampedRevision pins how the go command's VCS stamp becomes a
+// revision: vcs.revision as is, "-dirty" appended only when vcs.modified
+// is "true", and nothing without a revision.
+func TestStampedRevision(t *testing.T) {
+	const hash = "0123456789abcdef0123456789abcdef01234567"
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"clean", []debug.BuildSetting{
+			{Key: "vcs", Value: "git"}, {Key: "vcs.revision", Value: hash}, {Key: "vcs.modified", Value: "false"},
+		}, hash},
+		{"dirty", []debug.BuildSetting{
+			{Key: "vcs.modified", Value: "true"}, {Key: "vcs.revision", Value: hash},
+		}, hash + "-dirty"},
+		{"no modified flag", []debug.BuildSetting{{Key: "vcs.revision", Value: hash}}, hash},
+		{"unstamped", []debug.BuildSetting{{Key: "-compiler", Value: "gc"}}, ""},
+		{"modified without revision", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{"no settings", nil, ""},
+	} {
+		if got := stampedRevision(tc.settings); got != tc.want {
+			t.Errorf("%s: stampedRevision = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

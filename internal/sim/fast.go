@@ -12,14 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultWarmBudget bounds the total heap the outcome-mask memo may
-// hold. A mask costs one byte per timed instruction, and a full training
-// sweep touches at most il1×dl1×l2 = 125 geometry combinations per
+// DefaultWarmBudget bounds the total heap the memo may hold: outcome
+// masks at one byte per timed instruction plus per-structure outcome
+// streams at four bytes per listed miss. A full training sweep touches
+// at most il1×dl1×l2 = 125 geometry combinations and 11 streams per
 // benchmark, so the default comfortably covers the paper's workloads;
-// overflowing runs simply warm and record their own mask.
+// overflowing runs simply walk their own streams and build their own
+// mask.
 const DefaultWarmBudget int64 = 256 << 20
 
-// warmKey identifies one memoizable outcome stream. Warmup and the timed
+// warmKey identifies one memoizable outcome mask. Warmup and the timed
 // region's cache and predictor traffic touch only the caches and the
 // branch predictor, so their outcomes depend on nothing but the trace
 // and the cache geometries — never on latencies, width, depth, pools or
@@ -34,84 +36,73 @@ type warmKey struct {
 	l2KB     int
 }
 
-// warmEntry is one key's memo slot: the once walks the warmup and
-// records the key's outcome mask (one byte per timed instruction, see
-// the m* bits in kernel.go) exactly once however many goroutines race on
-// the key. mask is written only inside the once, so every caller that
-// returns from the once sees it; it stays nil when the memo budget is
-// exhausted (or the walk failed), in which case later runs warm and
-// record their own.
+// warmEntry is one key's memo slot: the once builds the key's outcome
+// mask (one byte per timed instruction, see the m* bits in kernel.go)
+// exactly once however many goroutines race on the key. mask is written
+// only inside the once, so every caller that returns from the once sees
+// it; it stays nil when the memo budget is exhausted (or the build
+// failed), in which case later runs build their own.
 type warmEntry struct {
 	once sync.Once
 	mask []byte
 }
 
-type warmMap map[warmKey]*warmEntry
-
 // Runner is the simulator's steady-state fast path: a pool of run
-// scratch plus a memo of recorded cache and branch-predictor outcomes
-// keyed by (trace, cache geometry). The first run of each key walks the
-// full warmup and records the timed region's outcomes; every run of the
-// key, the first included, then replays them through the timing-only
-// kernel without touching the hierarchy. Results are bit-identical to
-// Run's. Safe for concurrent use.
+// scratch plus a two-level memo of cache and branch-predictor outcomes.
+// Per-structure outcome streams (stream.go) are walked once per (trace,
+// structure geometry) and shared; the first run of each (trace, cache
+// geometry) key composes them through its L2 into the key's outcome
+// mask, and every run of the key, the first included, replays the mask
+// through the timing-only kernel without touching the hierarchy.
+// Results are bit-identical to Run's. Safe for concurrent use.
 type Runner struct {
-	pool   sync.Pool
-	warm   atomic.Pointer[warmMap]
-	mu     sync.Mutex // serializes copy-on-write inserts into warm
-	budget int64
-	used   atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
+	pool       sync.Pool
+	warm       onceMap[warmKey, warmEntry]
+	streams    onceMap[streamKey, streamEntry]
+	budget     int64
+	used       atomic.Int64 // masks and streams
+	streamUsed atomic.Int64 // streams alone
+	walks      atomic.Int64 // stream walks, memoized or not
+	hits       atomic.Int64
+	misses     atomic.Int64
 }
 
 // NewRunner returns a fast-path runner with the default memo budget.
 func NewRunner() *Runner {
 	r := &Runner{budget: DefaultWarmBudget}
 	r.pool.New = func() any { return new(Scratch) }
-	m := make(warmMap)
-	r.warm.Store(&m)
 	return r
 }
 
-// SetWarmBudget caps the memo's total outcome-mask bytes. Runs whose
-// mask would exceed the cap warm and record their own and nothing is
-// evicted; results are unaffected either way. Call before the runner is
-// shared.
+// SetWarmBudget caps the memo's total bytes, outcome masks and streams
+// together. Runs whose mask or streams would exceed the cap build their
+// own and nothing is evicted; results are unaffected either way. Call
+// before the runner is shared.
 func (r *Runner) SetWarmBudget(bytes int64) { r.budget = bytes }
 
 // WarmStats returns how many runs replayed a memoized outcome mask
-// (hits) versus walked their own warmup (misses, including every first
-// run of a key).
+// (hits) versus built their own (misses, including every first run of a
+// key).
 func (r *Runner) WarmStats() (hits, misses int64) {
 	return r.hits.Load(), r.misses.Load()
 }
 
-// MemoBytes returns the bytes of outcome masks the memo holds.
+// MemoBytes returns the bytes the memo holds: outcome masks plus
+// per-structure outcome streams.
 func (r *Runner) MemoBytes() int64 { return r.used.Load() }
 
-// entry returns the memo slot for a key, creating it if needed. The hot
-// path is one atomic load and a map read; inserts copy the map under the
-// mutex, which is rare (once per distinct geometry per trace) and cheap
-// next to the warmup walk that follows.
-func (r *Runner) entry(key warmKey) *warmEntry {
-	if e, ok := (*r.warm.Load())[key]; ok {
-		return e
+// StreamBytes returns the part of MemoBytes held by per-structure
+// outcome streams.
+func (r *Runner) StreamBytes() int64 { return r.streamUsed.Load() }
+
+// charge reserves n bytes of the memo budget, reporting whether they
+// fit; a rejected charge is given back at once.
+func (r *Runner) charge(n int64) bool {
+	if r.used.Add(n) > r.budget {
+		r.used.Add(-n)
+		return false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := *r.warm.Load()
-	if e, ok := m[key]; ok {
-		return e
-	}
-	next := make(warmMap, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	e := &warmEntry{}
-	next[key] = e
-	r.warm.Store(&next)
-	return e
+	return true
 }
 
 // Run simulates through the fast path and returns a fresh Result.
@@ -155,12 +146,11 @@ func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 }
 
 // runFast simulates in two steps per key: record once, replay always.
-// The key's first run walks the warmup and records the timed region's
-// cache and predictor outcomes into a budget-charged mask; concurrent
+// The key's first run builds the timed region's outcome mask from the
+// shared per-structure streams into a budget-charged buffer; concurrent
 // first runs wait for it. Every run then replays the mask through the
-// timing-only kernel. Over budget, a run warms and records into its
-// scratch's own mask buffer instead, so results never depend on the
-// budget.
+// timing-only kernel. Over budget, a run builds the mask into its
+// scratch's own buffer instead, so results never depend on the budget.
 func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) error {
 	key := warmKey{
 		tr:       tr,
@@ -169,18 +159,17 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 		dl1Assoc: p.DL1Assoc,
 		l2KB:     p.Config.L2KB,
 	}
-	e := r.entry(key)
+	e := r.warm.get(key)
 	size := int64(tr.Len() - warmupLen(tr.Len()))
 	first := false
 	var onceErr error
 	e.once.Do(func() {
 		first = true
-		if r.used.Add(size) > r.budget {
-			r.used.Add(-size)
+		if !r.charge(size) {
 			return
 		}
 		mask := make([]byte, size)
-		if onceErr = s.warmRecord(p, tr, mask); onceErr != nil {
+		if onceErr = r.buildMask(s, p, tr, mask); onceErr != nil {
 			r.used.Add(-size)
 			return
 		}
@@ -192,12 +181,12 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 	mask := e.mask
 	switch {
 	case mask == nil:
-		// Over budget (or the first walk failed): warm and record locally.
+		// Over budget (or the first build failed): build locally.
 		if cap(s.mask) < int(size) {
 			s.mask = make([]byte, size)
 		}
 		mask = s.mask[:size]
-		if err := s.warmRecord(p, tr, mask); err != nil {
+		if err := r.buildMask(s, p, tr, mask); err != nil {
 			return err
 		}
 		r.misses.Add(1)
@@ -211,17 +200,5 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 		simWarmReplays.Add(1)
 	}
 	s.timedReplay(out, p, tr, mask)
-	return nil
-}
-
-// warmRecord reshapes the scratch's hierarchy to the configuration's
-// geometry, walks the warmup and records the timed region's outcomes
-// into mask.
-func (s *Scratch) warmRecord(p Params, tr *trace.Trace, mask []byte) error {
-	if err := s.configure(p); err != nil {
-		return err
-	}
-	s.warmup(tr)
-	s.record(p, tr, mask)
 	return nil
 }

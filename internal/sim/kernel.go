@@ -8,8 +8,9 @@ import "repro/internal/trace"
 // their hit/miss/mispredict outcomes are identical across every
 // configuration — latencies, width, depth, pools and queues change when
 // events cost, never whether they occur. Recording the outcomes once per
-// key (record) lets every run of the key replay them without simulating
-// the hierarchy at all (timedReplay).
+// key (Runner.buildMask, from the per-structure streams of stream.go) lets
+// every run of the key replay them without simulating the hierarchy at
+// all (timedReplay).
 const (
 	mIL1Miss    byte = 1 << iota // instruction fetch missed the IL1
 	mIL2Miss                     // ...and the L2 (memory fill)
@@ -17,95 +18,6 @@ const (
 	mDL2Miss                     // ...and the L2 (memory fill)
 	mMispredict                  // branch was mispredicted
 )
-
-// record walks the timed region's cache and branch-predictor traffic,
-// assuming the scratch's hierarchy holds warmed state, and writes each
-// instruction's outcomes into mask (one byte per timed instruction, the
-// m* bits). It touches the hierarchy in exactly the reference kernel's
-// order — the instruction fetch, then the L2 on an I-miss, then the data
-// access of a load or store, then the L2 on a D-miss, then the branch
-// history table — and nothing else: no latency, width or queue parameter
-// is read, so the mask is a function of the warm key alone.
-//
-// The instruction cache is always direct-mapped (IL1Assoc is a package
-// constant of 1), so lookups go through the inlinable cache.AccessDirect,
-// and consecutive instructions in the same cache block — the
-// overwhelmingly common case — short-circuit the tag compare entirely
-// through cache.Rehit. The data cache and the L2 dispatch once per run
-// to the unrolled access of their associativity: every design-space
-// configuration has a 2-way data cache and a 4-way L2 (Table 3), with
-// direct-mapped and generic fallbacks for the override extensions. All
-// of these leave state bit-identical to the generic Access path the
-// reference kernel takes.
-func (s *Scratch) record(p Params, tr *trace.Trace, mask []byte) {
-	n := tr.Len()
-	warm := warmupLen(n)
-	mask = mask[:n-warm]
-	il1, dl1, l2, bht := &s.il1, &s.dl1, &s.l2, &s.bht
-	il1Shift := il1.BlockShift()
-	il1Mask := il1.SetMask()
-	dl1Direct := p.DL1Assoc == 1
-	dl1Two := p.DL1Assoc == 2
-	l2Four := l2.Assoc() == 4
-	lastIBlk := int64(-1) // I-block of the previous fetch; -1 = none
-
-	for i := warm; i < n; i++ {
-		in := &tr.Insts[i]
-		var mbits byte
-
-		// A repeat of the previous instruction's block is a guaranteed
-		// hit: both the hit and the miss path of that access leave the
-		// block resident.
-		blk := in.PC >> il1Shift
-		if int64(blk) == lastIBlk {
-			il1.Rehit(blk & il1Mask)
-		} else {
-			lastIBlk = int64(blk)
-			if !il1.AccessDirect(in.PC) {
-				mbits = mIL1Miss
-				var l2hit bool
-				if l2Four {
-					l2hit = l2.Access4(in.PC)
-				} else {
-					l2hit = l2.Access(in.PC)
-				}
-				if !l2hit {
-					mbits |= mIL2Miss
-				}
-			}
-		}
-
-		switch in.Kind {
-		case trace.OpLoad, trace.OpStore:
-			var hit bool
-			switch {
-			case dl1Two:
-				hit = dl1.Access2(in.Addr)
-			case dl1Direct:
-				hit = dl1.AccessDirect(in.Addr)
-			default:
-				hit = dl1.Access(in.Addr)
-			}
-			if !hit {
-				mbits |= mDL1Miss
-				var l2hit bool
-				if l2Four {
-					l2hit = l2.Access4(in.Addr)
-				} else {
-					l2hit = l2.Access(in.Addr)
-				}
-				if !l2hit {
-					mbits |= mDL2Miss
-				}
-			}
-		case trace.OpBranch:
-			if bht.Update(in.PC, in.Taken) {
-				mbits |= mMispredict
-			}
-		}
-		mask[i-warm] = mbits
-	}
-}
 
 // timedReplay is the fast path's cycle-accounting kernel: it consumes a
 // recorded outcome mask instead of simulating the caches and the branch
@@ -122,7 +34,7 @@ func (s *Scratch) record(p Params, tr *trace.Trace, mask []byte) {
 // reference kernel stays the plain transcription of the pipeline model;
 // this file is allowed to be clever precisely because timed is not.
 //
-// mask holds one byte per timed instruction as recorded by record;
+// mask holds one byte per timed instruction as built by Runner.buildMask;
 // because outcomes are configuration-independent within a warm key (see
 // the m* constants), replaying them under different latencies, widths,
 // depths, pools and queues is bit-identical to simulating them.

@@ -110,8 +110,8 @@ func (r *ring) bw(t int64) int64 {
 
 // Scratch holds every piece of per-run mutable state the cycle kernels
 // need: the completion array, the backing storage for the fourteen
-// resource rings, the three caches, the branch history table and an
-// outcome-mask buffer. A Scratch reaches a steady state after a few runs
+// resource rings, the three caches, the branch history table, and the
+// outcome streams and mask of runs the Runner memo cannot hold. A Scratch reaches a steady state after a few runs
 // — its arrays grow to the largest geometry seen and are reused — so
 // simulating through one performs zero heap allocations. The zero value
 // is ready to use. A Scratch is not safe for concurrent use; Run and
@@ -123,7 +123,8 @@ type Scratch struct {
 	dl1      cache.Cache
 	l2       cache.Cache
 	bht      branch.Predictor
-	mask     []byte // outcome mask of runs the Runner memo cannot hold
+	local    [numStreams]stream // outcome streams the Runner memo cannot hold
+	mask     []byte             // outcome mask the Runner memo cannot hold
 }
 
 // scratchPool recycles run scratch for the package-level Run entry
@@ -163,9 +164,10 @@ func (s *Scratch) configure(p Params) error {
 // The data side and the predictor warm over the leading WarmupFrac only,
 // preserving the compulsory component of streaming workloads.
 //
-// Nothing here reads a latency, width, pool or queue parameter: warmup
-// state depends only on the trace and the cache/BHT geometries, which is
-// what makes it safe for Runner to memoize per (trace, geometry) key.
+// This is the reference warmup Scratch.Run takes. The fast path walks
+// the same accesses per structure (stream.go): the IL1 over the whole
+// trace, then the DL1 and the BHT over the leading WarmupFrac, the L2
+// seeing the IL1's misses before the DL1's.
 func (s *Scratch) warmup(tr *trace.Trace) {
 	warm := warmupLen(tr.Len())
 	for i := range tr.Insts {
@@ -318,8 +320,8 @@ func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 // the trace, assuming the scratch's caches and predictor already hold
 // warmed state, and writes the result into out. This is the reference
 // kernel — the straightforward transcription of the pipeline model that
-// the fast path's record and timedReplay kernels are pinned against by
-// golden tests.
+// the fast path's outcome streams and timedReplay kernel are pinned
+// against by golden tests.
 func (s *Scratch) timed(out *Result, p Params, tr *trace.Trace) {
 	cfg := p.Config
 	n := tr.Len()

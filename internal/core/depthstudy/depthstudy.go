@@ -6,7 +6,6 @@
 package depthstudy
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -113,11 +112,12 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	}
 	for i, d := range depths {
 		b, w := origPreds[i].BIPS, origPreds[i].Watts
-		if b <= 0 || w <= 0 {
-			return nil, fmt.Errorf("depthstudy: non-positive prediction at %d FO4", d)
+		eff, ok := efficiency(b, w)
+		if !ok {
+			return nil, fmt.Errorf("depthstudy: non-positive or non-finite prediction at %d FO4", d)
 		}
 		origBIPS[i], origWatts[i] = b, w
-		origEff[i] = metrics.BIPS3W(b, w)
+		origEff[i] = eff
 	}
 	bestIdx := argmax(origEff)
 	res := &Result{
@@ -131,32 +131,23 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One pair of buffers per benchmark, reused by every depth block.
+	var all, tmp []scored
 	for di, d := range depths {
 		// Depth is the most significant axis of the flat order, so each
 		// depth's designs occupy one contiguous block of the sweep — walk
 		// it directly instead of decoding points.
 		lo, hi := space.DepthBlock(di)
-		all := make([]scored, 0, hi-lo)
-		bound := scored{idx: -1, eff: math.Inf(-1)}
-		beats := 0
-		for flat := lo; flat < hi; flat++ {
-			p := preds[flat]
-			if p.BIPS <= 0 || p.Watts <= 0 {
-				continue
-			}
-			eff := metrics.BIPS3W(p.BIPS, p.Watts)
-			all = append(all, scored{idx: flat, eff: eff})
-			if eff > bound.eff {
-				bound = scored{idx: flat, eff: eff}
-			}
-			if eff > res.OriginalBestEff {
-				beats++
-			}
-		}
+		var bound scored
+		var beats int
+		all, bound, beats = scoreBlock(all[:0], preds, lo, hi, res.OriginalBestEff)
 		if bound.idx < 0 {
 			return nil, fmt.Errorf("depthstudy: no valid designs at %d FO4", d)
 		}
-		box, top := summarizeBlock(all, res.OriginalBestEff, opts.TopPercentile)
+		if len(tmp) < len(all) {
+			tmp = make([]scored, len(all))
+		}
+		box, top := summarizeBlock(all, tmp, res.OriginalBestEff, opts.TopPercentile)
 		row := DepthRow{
 			DepthFO4:           d,
 			OriginalModelBIPS:  origBIPS[di],
@@ -190,7 +181,6 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		if r.BoundModelEff > res.Rows[bi].BoundModelEff {
 			bi = i
 		}
-		_ = i
 	}
 	res.BoundBestDepth = res.Rows[bi].DepthFO4
 
@@ -227,26 +217,105 @@ type scored struct {
 	eff float64
 }
 
+// efficiency returns a prediction's bips^3/w and whether it is usable:
+// both inputs positive and the result finite. A NaN prediction passes a
+// plain sign check, so finiteness is checked on the result.
+func efficiency(bips, watts float64) (float64, bool) {
+	if bips <= 0 || watts <= 0 {
+		return 0, false
+	}
+	eff := metrics.BIPS3W(bips, watts)
+	return eff, !math.IsNaN(eff) && !math.IsInf(eff, 0)
+}
+
+// scoreBlock appends the usable designs of the sweep block [lo, hi) to
+// all and returns them with the most efficient one (idx -1 when there
+// is none) and the number beating norm.
+func scoreBlock(all []scored, preds []core.Prediction, lo, hi int, norm float64) ([]scored, scored, int) {
+	all = slices.Grow(all, hi-lo)
+	bound := scored{idx: -1, eff: math.Inf(-1)}
+	beats := 0
+	for flat := lo; flat < hi; flat++ {
+		eff, ok := efficiency(preds[flat].BIPS, preds[flat].Watts)
+		if !ok {
+			continue
+		}
+		all = append(all, scored{idx: flat, eff: eff})
+		if eff > bound.eff {
+			bound = scored{idx: flat, eff: eff}
+		}
+		if eff > norm {
+			beats++
+		}
+	}
+	return all, bound, beats
+}
+
 // summarizeBlock summarizes one depth block's valid designs: the boxplot
 // of their efficiencies relative to norm (Figure 5a) and the designs at
 // or above the topPct quantile (Figure 5b). It sorts designs in place,
-// once, by (efficiency, flat index); the index tie-break makes the top
-// set a function of the block's contents alone, never of its order or
-// of the sort algorithm. Dividing by a positive norm preserves the
-// order, so the boxplot receives its input already sorted.
-func summarizeBlock(designs []scored, norm, topPct float64) (stats.Boxplot, []scored) {
-	slices.SortFunc(designs, func(a, b scored) int {
-		if c := cmp.Compare(a.eff, b.eff); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+// once, by (efficiency, flat index), using tmp (at least as long) as
+// scratch; the index tie-break makes the top set a function of the
+// block's contents alone, never of its order. Dividing by a positive
+// norm preserves the order, so the boxplot receives its input already
+// sorted.
+func summarizeBlock(designs, tmp []scored, norm, topPct float64) (stats.Boxplot, []scored) {
+	radixSort(designs, tmp)
 	effs := make([]float64, len(designs))
 	for i, s := range designs {
 		effs[i] = s.eff / norm
 	}
 	cut := int(float64(len(designs)) * topPct)
 	return stats.NewBoxplot(effs), designs[cut:]
+}
+
+// radixSort sorts designs by (eff, idx) with a stable LSD radix sort
+// over bytes: the idx bytes first, then the eff bytes, least significant
+// first. Efficiencies are non-negative and finite, so their IEEE-754 bits
+// order as unsigned integers. One counting pass builds every byte's
+// histogram, and a byte that is the same for every design skips its
+// pass. tmp must be at least as long as designs.
+func radixSort(designs, tmp []scored) {
+	if len(designs) == 0 {
+		return
+	}
+	// Pass p sorts on byte p%8 of the idx (p < 8) or of the eff bits.
+	word := func(s scored, p int) uint64 {
+		w := uint64(s.idx)
+		if p >= 8 {
+			w = math.Float64bits(s.eff)
+		}
+		return w >> (8 * (p % 8))
+	}
+	var counts [16][256]int
+	for _, s := range designs {
+		k, f := uint64(s.idx), math.Float64bits(s.eff)
+		for b := 0; b < 8; b++ {
+			counts[b][byte(k>>(8*b))]++
+			counts[8+b][byte(f>>(8*b))]++
+		}
+	}
+	src, dst := designs, tmp[:len(designs)]
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(word(src[0], p))] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, s := range src {
+			b := byte(word(s, p))
+			dst[c[b]] = s
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &designs[0] {
+		copy(designs, src)
+	}
 }
 
 // SuiteAverage combines per-benchmark results into the benchmark-average

@@ -1,8 +1,10 @@
 package depthstudy
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -229,31 +231,135 @@ func TestModelFindsSimulatorOptimumWithin3FO4(t *testing.T) {
 // TestSummarizeBlockOrderIndependent pins that a depth block's summary —
 // its boxplot and its top-percentile design set — depends on the block's
 // contents alone: shuffling the designs leaves it unchanged, ties in
-// efficiency included.
+// efficiency included, down to a block where every design ties and a
+// block of one design.
 func TestSummarizeBlockOrderIndependent(t *testing.T) {
 	r := rng.New(5)
-	const n = 3000
-	block := make([]scored, n)
-	for i := range block {
+	for _, tc := range []struct {
+		name string
+		n    int
+		eff  func() float64
+	}{
 		// Few distinct values, so many designs tie on efficiency,
 		// straddling the top-percentile cut among them.
-		block[i] = scored{idx: 1000 + i, eff: float64(1 + r.Intn(40))}
+		{"40 values", 3000, func() float64 { return float64(1 + r.Intn(40)) }},
+		{"two values", 3000, func() float64 { return float64(1 + r.Intn(2)) }},
+		{"all tied", 3000, func() float64 { return 6 }},
+		{"one design", 1, func() float64 { return 6 }},
+	} {
+		n := tc.n
+		block := make([]scored, n)
+		for i := range block {
+			block[i] = scored{idx: 1000 + i, eff: tc.eff()}
+		}
+		tmp := make([]scored, n)
+		wantBox, wantTop := summarizeBlock(append([]scored(nil), block...), tmp, 7.5, 0.95)
+		if len(wantTop) != n-int(float64(n)*0.95) {
+			t.Fatalf("%s: top set has %d designs, want %d", tc.name, len(wantTop), n-int(float64(n)*0.95))
+		}
+		if wantBox.N != n {
+			t.Fatalf("%s: boxplot of %d designs, want %d", tc.name, wantBox.N, n)
+		}
+		for trial := 0; trial < 5; trial++ {
+			shuffled := make([]scored, n)
+			for i, j := range r.Perm(n) {
+				shuffled[i] = block[j]
+			}
+			box, top := summarizeBlock(shuffled, tmp, 7.5, 0.95)
+			if !reflect.DeepEqual(box, wantBox) {
+				t.Fatalf("%s trial %d: boxplot %+v, want %+v", tc.name, trial, box, wantBox)
+			}
+			if !reflect.DeepEqual(top, wantTop) {
+				t.Fatalf("%s trial %d: top set changed with block order", tc.name, trial)
+			}
+		}
 	}
-	wantBox, wantTop := summarizeBlock(append([]scored(nil), block...), 7.5, 0.95)
-	if len(wantTop) != n-int(n*0.95) {
-		t.Fatalf("top set has %d designs, want %d", len(wantTop), n-int(n*0.95))
+}
+
+// TestRadixSortMatchesComparator pins the radix sort to a comparator
+// sort on (eff, idx) for blocks of heavy ties — every design equal, two
+// values, a tie on every efficiency bit but the lowest — plus a spread
+// of magnitudes, a one-element block, and an empty one.
+func TestRadixSortMatchesComparator(t *testing.T) {
+	r := rng.New(11)
+	tied, next := 1.5, math.Nextafter(1.5, 2)
+	for _, tc := range []struct {
+		name string
+		gen  func(i int) scored
+	}{
+		{"all equal", func(i int) scored { return scored{idx: 5000 - i, eff: 3.25} }},
+		{"two values", func(i int) scored { return scored{idx: 70000 + r.Intn(1<<20), eff: float64(1 + r.Intn(2))} }},
+		{"last bit", func(i int) scored { return scored{idx: i, eff: []float64{tied, next}[r.Intn(2)]} }},
+		{"magnitudes", func(i int) scored { return scored{idx: r.Intn(262500), eff: math.Ldexp(1+r.Float64(), r.Intn(80)-40)} }},
+		{"wide idx", func(i int) scored { return scored{idx: r.Intn(1 << 30), eff: float64(1 + r.Intn(3))} }},
+	} {
+		for _, n := range []int{0, 1, 2, 3000} {
+			block := make([]scored, n)
+			for i := range block {
+				block[i] = tc.gen(i)
+			}
+			want := slices.Clone(block)
+			slices.SortStableFunc(want, func(a, b scored) int {
+				if c := cmp.Compare(a.eff, b.eff); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.idx, b.idx)
+			})
+			radixSort(block, make([]scored, n))
+			if !slices.Equal(block, want) {
+				t.Fatalf("%s, n=%d: radix order differs from the comparator's", tc.name, n)
+			}
+		}
 	}
-	for trial := 0; trial < 5; trial++ {
-		shuffled := make([]scored, n)
-		for i, j := range r.Perm(n) {
-			shuffled[i] = block[j]
-		}
-		box, top := summarizeBlock(shuffled, 7.5, 0.95)
-		if !reflect.DeepEqual(box, wantBox) {
-			t.Fatalf("trial %d: boxplot %+v, want %+v", trial, box, wantBox)
-		}
-		if !reflect.DeepEqual(top, wantTop) {
-			t.Fatalf("trial %d: top set changed with block order", trial)
-		}
+}
+
+// TestScoreBlockSkipsUnusablePredictions pins that non-positive and
+// non-finite predictions are left out of a depth block: a NaN passes a
+// sign check and would otherwise poison the boxplot's mean.
+func TestScoreBlockSkipsUnusablePredictions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	preds := []core.Prediction{
+		{BIPS: 1, Watts: 1},          // 0: outside the block
+		{BIPS: 2, Watts: 4},          // 1: eff 2
+		{BIPS: nan, Watts: 4},        // 2
+		{BIPS: 2, Watts: nan},        // 3
+		{BIPS: inf, Watts: 4},        // 4
+		{BIPS: 0, Watts: 4},          // 5
+		{BIPS: 2, Watts: -1},         // 6
+		{BIPS: 3, Watts: 9},          // 7: eff 3
+		{BIPS: 1e200, Watts: 1e-200}, // 8: eff overflows to +Inf
+	}
+	all, bound, beats := scoreBlock(nil, preds, 1, len(preds), 2.5)
+	want := []scored{{idx: 1, eff: 2}, {idx: 7, eff: 3}}
+	if !slices.Equal(all, want) {
+		t.Fatalf("scored %+v, want %+v", all, want)
+	}
+	if bound != want[1] || beats != 1 {
+		t.Fatalf("bound %+v beats %d, want %+v and 1", bound, beats, want[1])
+	}
+	box, _ := summarizeBlock(all, make([]scored, len(all)), 1, 0.95)
+	if math.IsNaN(box.Mean) || box.Mean != 2.5 {
+		t.Fatalf("boxplot mean %v, want 2.5", box.Mean)
+	}
+	if _, bound, _ := scoreBlock(nil, preds, 2, 7, 1); bound.idx != -1 {
+		t.Fatalf("block of unusable predictions has bound %+v, want none", bound)
+	}
+}
+
+// BenchmarkSummarizeBlock measures one depth block's summary at the
+// design space's block size.
+func BenchmarkSummarizeBlock(b *testing.B) {
+	r := rng.New(3)
+	const n = 37500
+	block := make([]scored, n)
+	for i := range block {
+		block[i] = scored{idx: 75000 + i, eff: math.Ldexp(1+r.Float64(), r.Intn(4))}
+	}
+	work, tmp := make([]scored, n), make([]scored, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, block)
+		summarizeBlock(work, tmp, 1, 0.95)
 	}
 }

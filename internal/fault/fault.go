@@ -383,12 +383,32 @@ func Parse(spec string) (*Plan, error) {
 				}
 			}
 		}
-		if r.Prob == 0 && r.Every == 0 {
-			return nil, fmt.Errorf("fault: clause %q has no trigger (set p= or every=)", clause)
+		if err := r.check(); err != nil {
+			return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 		}
 		p.Rules = append(p.Rules, r)
 	}
 	return p, nil
+}
+
+// check rejects a rule that names no site, has no trigger, or holds a
+// value outside its range: a NaN probability would fire on every visit,
+// and a negative every, after, count or delay would leave a rule that
+// silently never fires or misbehaves.
+func (r Rule) check() error {
+	switch {
+	case r.Site == "":
+		return fmt.Errorf("empty site")
+	case !(r.Prob >= 0 && r.Prob <= 1):
+		return fmt.Errorf("p=%v outside [0, 1]", r.Prob)
+	case r.Every < 0 || r.After < 0 || r.Count < 0:
+		return fmt.Errorf("negative every, after or count")
+	case r.Delay < 0:
+		return fmt.Errorf("negative delay %v", r.Delay)
+	case r.Prob == 0 && r.Every == 0:
+		return fmt.Errorf("no trigger (set p= or every=)")
+	}
+	return nil
 }
 
 // EnvVar is the environment variable the process-start hookup reads.

@@ -185,6 +185,15 @@ func TestParse(t *testing.T) {
 		"s:error:p=1,bogus=2",
 		"s:error:noeq",
 		"s:error", // no trigger
+		"s:error:p=NaN",
+		"s:error:p=-1",
+		"s:error:p=5",
+		"s:error:p=+Inf",
+		"s:error:every=-1",
+		"s:error:every=1,after=-1",
+		"s:error:every=1,count=-1",
+		"s:delay:every=1,delay=-1ms",
+		":error:p=1", // empty site
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted", bad)

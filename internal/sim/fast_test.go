@@ -544,12 +544,7 @@ func TestConcurrentSharedStreams(t *testing.T) {
 // block between code and data, so only this trace tells the orders
 // apart.
 func TestSameInstructionMissOrder(t *testing.T) {
-	const n = 20000
-	tr := &trace.Trace{Name: "self-reading", Insts: make([]trace.Inst, n)}
-	for i := range tr.Insts {
-		pc := uint32(i) * trace.BlockBytes
-		tr.Insts[i] = trace.Inst{PC: pc, Addr: pc + 8, Kind: trace.OpLoad}
-	}
+	tr := selfReadingTrace()
 	cfg := arch.Baseline()
 	want := fullRun(t, cfg, tr)
 	if want.Activity.IL1Miss == 0 || want.Activity.DL1Miss == 0 {
@@ -562,4 +557,16 @@ func TestSameInstructionMissOrder(t *testing.T) {
 	if *got != *want {
 		t.Fatalf("fast path diverged on same-block fetch and load\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// selfReadingTrace returns a synthetic trace of loads that each read
+// their own code block, with a code footprint that outruns every cache.
+func selfReadingTrace() *trace.Trace {
+	const n = 20000
+	tr := &trace.Trace{Name: "self-reading", Insts: make([]trace.Inst, n)}
+	for i := range tr.Insts {
+		pc := uint32(i) * trace.BlockBytes
+		tr.Insts[i] = trace.Inst{PC: pc, Addr: pc + 8, Kind: trace.OpLoad}
+	}
+	return tr
 }

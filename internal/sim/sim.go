@@ -91,26 +91,9 @@ func (r *ring) commit(release int64) {
 	}
 }
 
-// bw fuses earliest and commit for bandwidth-style rings — fetch and
-// retire slots and fully pipelined functional units, which always
-// recycle their slot one cycle after use: it returns the soonest time
-// >= t at which a slot is free and consumes that slot until the
-// following cycle, touching the slot array once.
-func (r *ring) bw(t int64) int64 {
-	if s := r.slots[r.pos]; s > t {
-		t = s
-	}
-	r.slots[r.pos] = t + 1
-	r.pos++
-	if r.pos == len(r.slots) {
-		r.pos = 0
-	}
-	return t
-}
-
 // Scratch holds every piece of per-run mutable state the cycle kernels
-// need: the completion array, the backing storage for the fourteen
-// resource rings, the three caches, the branch history table, and the
+// need: the completion array, the backing storage for the resource
+// rings, the three caches, the branch history table, and the
 // outcome streams and mask of runs the Runner memo cannot hold. A Scratch reaches a steady state after a few runs
 // — its arrays grow to the largest geometry seen and are reused — so
 // simulating through one performs zero heap allocations. The zero value
@@ -251,15 +234,17 @@ func observeRun(out *Result, traced bool, start time.Time) {
 	}
 }
 
-// numRings is the number of resource rings the kernel carves out of the
+// numRings is the number of resource rings the kernels carve out of the
 // pooled backing array; see prepare for the slot assignment.
-const numRings = 14
+const numRings = 15
 
 // prepare readies the scratch's per-run arrays for the timed kernel:
 // zeroes the warmup prefix of the completion array (timed entries are
 // always written before they are read, so only the prefix needs
-// clearing) and carves the fourteen resource rings out of one pooled,
-// zeroed backing array. Shared by the reference and fast kernels.
+// clearing) and carves the resource rings out of one pooled, zeroed
+// backing array, in index order. Shared by the reference and fast
+// kernels; the last ring is a single dummy slot only the fast kernel
+// routes to (see timedReplay).
 func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 	cfg := p.Config
 	if cap(s.complete) < n {
@@ -287,6 +272,7 @@ func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 		cfg.FUPerKind, // 11: floating-point units
 		cfg.FUPerKind, // 12: load/store units
 		cfg.FUPerKind, // 13: branch units
+		1,             // 14: dummy reservation slot for stores
 	}
 	total := 0
 	for i, c := range capacities {

@@ -17,18 +17,13 @@
 //	hetero    multiprocessor heterogeneity study      (Table 4, Figures 8-9)
 //	search    heuristic search vs exhaustive sweep    (future-work extension)
 //	report    run everything
-//	dataset   build the training dataset checkpoints (shardable)
-//
-// The dataset command partitions across processes: -shard i/n simulates
-// one deterministic slice into its own checkpoint, -merge n reassembles
-// completed shards into the standard checkpoint files (byte-identical to
-// a single-process run), and -distribute n forks n workers, restarts
-// failures from their checkpoints, and merges.
+//	dataset   build the training dataset checkpoints without fitting
 //
 // Flags control the training budget; see -help.
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -49,7 +44,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/search"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -78,12 +72,6 @@ func run(args []string, out io.Writer) error {
 	checkpointDir := fs.String("checkpoint", "", "write crash-safe training checkpoints into this directory")
 	resume := fs.Bool("resume", false, "resume from checkpoints in the -checkpoint directory (results are bit-identical to an uninterrupted run)")
 	deadline := fs.Duration("deadline", 0, "per-batch evaluation deadline (0 = none); an expired batch fails with a deadline error")
-	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset work domain (e.g. 0/4; requires -checkpoint; dataset command only)")
-	mergeN := fs.Int("merge", 0, "merge n completed shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset command only)")
-	distribute := fs.Int("distribute", 0, "coordinator mode: fork n worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset command only)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "with -distribute: kill and restart (with resume) a worker whose progress beacon shows no change for this long; must exceed worker startup plus one checkpoint chunk (0 = no liveness monitoring)")
-	speculate := fs.Bool("speculate", false, "with -distribute and -stall-timeout: launch a speculative backup attempt for tail stragglers; the first finisher wins and the merged output is unchanged")
-	shardSuffix := fs.String("shardsuffix", "", "internal: append this suffix to shard checkpoint and beacon filenames (how a speculative backup attempt avoids racing the primary on files)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,47 +90,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 
-	shardable := cmd == "dataset"
-	shardModes := 0
-	for _, on := range []bool{*shardSpec != "", *mergeN > 0, *distribute > 0} {
-		if on {
-			shardModes++
-		}
-	}
-	if shardModes > 1 {
-		return fmt.Errorf("-shard, -merge and -distribute are mutually exclusive")
-	}
-	if shardModes == 1 {
-		if !shardable {
-			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset command only")
-		}
-		if *checkpointDir == "" {
-			return fmt.Errorf("-shard/-merge/-distribute require -checkpoint (shard outputs are checkpoints)")
-		}
-	}
-	if *mergeN < 0 || *distribute < 0 {
-		return fmt.Errorf("-merge and -distribute must be >= 0")
-	}
-	if *stallTimeout < 0 {
-		return fmt.Errorf("-stall-timeout must be >= 0")
-	}
-	if *stallTimeout > 0 && *distribute == 0 {
-		return fmt.Errorf("-stall-timeout requires -distribute (the coordinator runs the beacon monitor)")
-	}
-	if *speculate && (*distribute == 0 || *stallTimeout == 0) {
-		return fmt.Errorf("-speculate requires -distribute and -stall-timeout (the straggler projection reads beacons)")
-	}
-	if *shardSuffix != "" && *shardSpec == "" {
-		return fmt.Errorf("-shardsuffix applies to -shard workers only")
-	}
-	shardIdx, shardCount := 0, 1
-	if *shardSpec != "" {
-		var err error
-		if shardIdx, shardCount, err = shard.ParseSpec(*shardSpec); err != nil {
-			return err
-		}
-	}
-	if shardable && *checkpointDir == "" {
+	if cmd == "dataset" && *checkpointDir == "" {
 		return fmt.Errorf("the dataset command requires -checkpoint (its outputs are checkpoint files)")
 	}
 
@@ -180,7 +128,6 @@ func run(args []string, out io.Writer) error {
 		opts.CheckpointDir = *checkpointDir
 		opts.Resume = *resume
 	}
-	opts.ShardSuffix = *shardSuffix
 	opts.BatchTimeout = *deadline
 
 	e, err := core.New(opts)
@@ -211,7 +158,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if shardable {
+	if cmd == "dataset" {
 		// Dataset building simulates; it needs no models.
 	} else if *loadModels != "" {
 		err = phase("load_models", func() error {
@@ -273,47 +220,7 @@ func run(args []string, out io.Writer) error {
 	case "search":
 		err = phase("search", func() error { return cmdSearch(e, out) })
 	case "dataset":
-		sh := &shardRun{
-			e: e, out: out, man: man,
-			idx: shardIdx, count: shardCount, explicit: *shardSpec != "",
-			merge: *mergeN, distribute: *distribute,
-			stallTimeout: *stallTimeout, speculate: *speculate,
-			checkpointDir: *checkpointDir,
-		}
-		// Worker argv is reconstructed from the parsed flags (not the raw
-		// argument list), so every worker inherits exactly the options that
-		// shape the run identity plus -resume — a restarted worker picks up
-		// at its own checkpoint instead of redoing its shard. A non-empty
-		// suffix builds a speculative backup attempt, which writes its
-		// shard files (and diagnostics) under suffixed names.
-		sh.workerArgs = func(i, n int, suffix string) []string {
-			wargs := []string{
-				"-samples", fmt.Sprint(*samples),
-				"-validation", fmt.Sprint(*validation),
-				"-tracelen", fmt.Sprint(*tracelen),
-				"-seed", fmt.Sprint(*seed),
-				"-workers", fmt.Sprint(*workers),
-				"-checkpoint", *checkpointDir,
-				"-resume",
-			}
-			if *benchList != "" {
-				wargs = append(wargs, "-benchmarks", *benchList)
-			}
-			if *deadline != 0 {
-				wargs = append(wargs, "-deadline", deadline.String())
-			}
-			if *traceFile != "" {
-				wargs = append(wargs, "-trace", fmt.Sprintf("%s.shard%d%s", *traceFile, i, suffix))
-			}
-			if *manifestFile != "" {
-				wargs = append(wargs, "-manifest", fmt.Sprintf("%s.shard%d%s", *manifestFile, i, suffix))
-			}
-			if suffix != "" {
-				wargs = append(wargs, "-shardsuffix", suffix)
-			}
-			return append(wargs, "-shard", fmt.Sprintf("%d/%d", i, n), cmd)
-		}
-		err = phase(cmd, sh.run)
+		err = phase(cmd, func() error { return cmdDataset(e, out) })
 	case "report":
 		for _, st := range []struct {
 			name string
@@ -393,20 +300,32 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	return m
 }
 
-// writeCSV opens dir/name and hands the file to emit.
+// writeCSV atomically replaces dir/name with what emit writes, through a
+// buffer: report.WriteCSV issues one small write per cell and separator.
 func writeCSV(dir, name string, emit func(io.Writer) error) error {
 	if dir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
+	return atomicio.WriteTo(filepath.Join(dir, name), 0o644, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		if err := emit(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+}
+
+// cmdDataset builds the per-benchmark training checkpoints in this
+// process; a later -resume run of any model command fits from them
+// without simulating.
+func cmdDataset(e *core.Explorer, out io.Writer) error {
+	start := time.Now()
+	if err := e.BuildDataset(context.Background()); err != nil {
 		return err
 	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	fmt.Fprintf(out, "built dataset checkpoints: %d samples on %d benchmarks in %.1fs\n",
+		e.Options().TrainSamples, len(e.Benchmarks()), time.Since(start).Seconds())
+	return nil
 }
 
 func cmdTrain(e *core.Explorer, out io.Writer) error {

@@ -238,6 +238,16 @@ func TestCSVOutput(t *testing.T) {
 			t.Fatalf("%s looks empty", name)
 		}
 	}
+	// CSVs are published by rename: no temporary file is left behind.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".csv") {
+			t.Fatalf("csv directory holds %s", e.Name())
+		}
+	}
 	// The figure 2 scatter covers the whole exploration space.
 	data, err := os.ReadFile(filepath.Join(dir, "figure2_gzip.csv"))
 	if err != nil {

@@ -66,9 +66,9 @@ func expandBraces(p string) []string {
 	return out
 }
 
-// checkpointArtifacts runs a tiny two-shard dataset build and merge and
-// returns the names of the files it leaves in the checkpoint directory:
-// the runtime artifacts docs may cite by name.
+// checkpointArtifacts runs a tiny dataset build and returns the names of
+// the files it leaves in the checkpoint directory: the runtime artifacts
+// docs may cite by name.
 func checkpointArtifacts(t *testing.T) []string {
 	t.Helper()
 	dir := t.TempDir()
@@ -82,12 +82,7 @@ func checkpointArtifacts(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := e.BuildDatasetShard(context.Background(), i, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.MergeDatasetShards(2); err != nil {
+	if err := e.BuildDataset(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -103,9 +98,9 @@ func checkpointArtifacts(t *testing.T) []string {
 
 // runtimeArtifact reports whether a cited name is a file the program
 // writes into its checkpoint directory rather than one the repository
-// ships: checkpoints, beacons, and any name with a <placeholder>.
+// ships: checkpoints and any name with a <placeholder>.
 func runtimeArtifact(ref string) bool {
-	return strings.HasSuffix(ref, ".ckpt") || strings.HasPrefix(ref, "beacon-") || placeholdRE.MatchString(ref)
+	return strings.HasSuffix(ref, ".ckpt") || placeholdRE.MatchString(ref)
 }
 
 // matchesRuntime reports whether some produced file name matches the

@@ -460,19 +460,3 @@ func TestDepthBlockMatchesPointsAtDepth(t *testing.T) {
 	}()
 	space.DepthBlock(levels[AxisDepth])
 }
-
-// TestFingerprint checks the space hash is deterministic, identical for
-// independently-constructed equal spaces, and distinguishes the two
-// spaces the repository actually uses.
-func TestFingerprint(t *testing.T) {
-	study := ExplorationSpace().Fingerprint()
-	if study == 0 {
-		t.Fatal("zero fingerprint")
-	}
-	if again := ExplorationSpace().Fingerprint(); again != study {
-		t.Fatalf("fingerprint not deterministic: %016x vs %016x", study, again)
-	}
-	if sample := TableOneSpace().Fingerprint(); sample == study {
-		t.Fatalf("TableOneSpace and ExplorationSpace share fingerprint %016x", study)
-	}
-}

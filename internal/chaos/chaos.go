@@ -10,10 +10,9 @@
 // versus a fault-free run) is asserted by the round callback with
 // ByteIdentical.
 //
-// The package deliberately knows nothing about explorers, shards or
-// servers: it manipulates only fault plans and clocks, so any workload
-// — in-process library calls or forked worker processes — can be put
-// under soak.
+// The package deliberately knows nothing about explorers or servers:
+// it manipulates only fault plans and clocks, so any workload — in-process
+// library calls or forked processes — can be put under soak.
 package chaos
 
 import (
@@ -60,23 +59,22 @@ type RuleSpec struct {
 // of them armed in every drawn plan.
 type Menu []RuleSpec
 
-// DefaultDatasetMenu is the standard drill for a distributed dataset
+// DefaultDatasetMenu is the standard drill for a checkpointed dataset
 // build. It composes, in one plan, every fault class the pipeline
 // claims to survive: transient evaluator errors, evaluator panics
-// (recovered and retried by the eval engine), evaluator delays, a
-// worker killed outright mid-shard, a worker hung at a checkpoint chunk
-// (recoverable only by liveness supervision), a checkpoint write
-// failure, and a crash during beacon publication. The hang and the
-// kills are count-bounded so a supervised run always converges.
+// (recovered and retried by the eval engine), evaluator delays, a build
+// killed outright at a checkpoint chunk, a build hung at a checkpoint
+// chunk (recoverable only by cancelling the attempt), and a checkpoint
+// write failure. The hang and the kill are count-bounded so a resumed
+// run always converges.
 func DefaultDatasetMenu() Menu {
 	return Menu{
 		{Site: "eval.invoke", Kind: fault.KindError, MaxProb: 0.02},
 		{Site: "eval.invoke", Kind: fault.KindPanic, MaxProb: 0.005},
 		{Site: "eval.invoke", Kind: fault.KindDelay, MaxProb: 0.01, MaxDelay: 2 * time.Millisecond},
-		{Site: "core.dataset.shard", Kind: fault.KindFatal, Every: 1, MaxAfter: 2, Count: 1},
-		{Site: "core.dataset.shard", Kind: fault.KindHang, Every: 1, MaxAfter: 3, Count: 1},
+		{Site: "core.dataset.chunk", Kind: fault.KindFatal, Every: 1, MaxAfter: 2, Count: 1},
+		{Site: "core.dataset.chunk", Kind: fault.KindHang, Every: 1, MaxAfter: 3, Count: 1},
 		{Site: "ckpt.save", Kind: fault.KindError, MaxProb: 0.01},
-		{Site: "shard.beacon", Kind: fault.KindFatal, Every: 1, MaxAfter: 4, Count: 1},
 	}
 }
 

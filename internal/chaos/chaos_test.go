@@ -60,7 +60,7 @@ func TestRandomPlanArmsEveryMenuEntry(t *testing.T) {
 	}
 }
 
-// TestDefaultSweepMenuCoversFaultKinds: the distributed-run drill menu,
+// TestDefaultSweepMenuCoversFaultKinds: the dataset-build drill menu,
 // DefaultDatasetMenu, must compose error, panic, fatal, delay and hang
 // rules in one plan.
 func TestDefaultSweepMenuCoversFaultKinds(t *testing.T) {

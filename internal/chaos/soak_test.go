@@ -22,8 +22,8 @@ import (
 )
 
 // soakOptions mirrors the core package's checkpoint-test configuration:
-// small but real, with four dataset chunks per half-shard so
-// count-bounded kill/hang rules have depth to land in.
+// small but real, with eight dataset chunks so count-bounded kill and
+// hang rules have depth to land in.
 func soakOptions(dir string) core.Options {
 	opts := core.DefaultOptions()
 	opts.TrainSamples = 40
@@ -37,33 +37,28 @@ func soakOptions(dir string) core.Options {
 	return opts
 }
 
-// bothShards runs f for shard 0 and 1 concurrently — two workers of a
-// distributed run sharing one fault plan, as two processes would share
-// one inherited REPRO_FAULT_PLAN.
-func bothShards(ctx context.Context, f func(ctx context.Context, i int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+// soakAttemptTimeout bounds one training attempt of the dataset soak. A
+// fault-free attempt takes well under a second even under the race
+// detector; the timeout only has to outlast one, because an attempt cut
+// short still keeps its finished chunks.
+const soakAttemptTimeout = 2 * time.Second
+
+// saveModels returns an explorer's saved model bytes.
+func saveModels(e *core.Explorer) ([]byte, error) {
+	var buf bytes.Buffer
+	err := e.SaveModels(&buf)
+	return buf.Bytes(), err
 }
 
-// TestSoakDistributedDatasetBitIdentical is the distributed-run soak:
-// dataset shards and their merge, run round after round under
-// randomized seeded fault plans that compose evaluator errors, panics
-// and delays, a worker kill, a worker hang (recoverable only by
-// cancelling the attempt, the in-process analogue of the coordinator's
-// stall-kill), a checkpoint-write failure and a beacon-write crash.
-// Every round must converge within its budget and produce a training
-// checkpoint byte-identical to the fault-free golden run; afterwards no
-// goroutine may be left behind.
-func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
+// TestSoakDatasetBitIdentical is the checkpointed-training soak: fresh
+// explorers train with Resume, round after round, under randomized
+// seeded fault plans that compose evaluator errors, panics and delays,
+// a kill at a checkpoint chunk, a hang at a checkpoint chunk
+// (recoverable only by cancelling the attempt) and a checkpoint-write
+// failure. Every round must converge within its budget and produce a
+// training checkpoint and fitted models byte-identical to the
+// fault-free golden run; afterwards no goroutine may be left behind.
+func TestSoakDatasetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round soak")
 	}
@@ -79,41 +74,50 @@ func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
 	if err := golden.Train(); err != nil {
 		t.Fatal(err)
 	}
+	goldenModels, err := saveModels(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dir := filepath.Join(t.TempDir(), "chaos")
 	round := func(ctx context.Context, r int, plan *fault.Plan) error {
-		// Each round is a fresh distributed run: wipe every shard file,
-		// beacon and merged checkpoint from the previous one.
+		// Each round is a fresh build: wipe the previous round's
+		// checkpoints.
 		if err := os.RemoveAll(dir); err != nil {
 			return err
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		if err := bothShards(ctx, func(ctx context.Context, i int) error {
-			// A fresh explorer per attempt is a worker restart: it
-			// resumes from the shard checkpoint.
-			_, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
-				w, err := core.New(soakOptions(dir))
-				if err != nil {
-					return err
-				}
-				return w.BuildDatasetShard(actx, i, 2)
-			})
-			return err
-		}); err != nil {
-			return fmt.Errorf("dataset shards: %w", err)
-		}
-		if _, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(context.Context) error {
-			w, err := core.New(soakOptions(dir))
+		// A fresh explorer per attempt is a process restart: it resumes
+		// from the checkpoint the killed attempt left.
+		var trained *core.Explorer
+		attempts, err := chaos.RunToCompletion(ctx, soakAttemptTimeout, 8, func(actx context.Context) error {
+			e, err := core.New(soakOptions(dir))
 			if err != nil {
 				return err
 			}
-			return w.MergeDatasetShards(2)
-		}); err != nil {
-			return fmt.Errorf("dataset merge: %w", err)
+			if err := e.TrainContext(actx); err != nil {
+				return err
+			}
+			trained = e
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("training: %w", err)
 		}
-		return chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt"))
+		t.Logf("round %d: converged in %d attempts", r, attempts)
+		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
+			return err
+		}
+		models, err := saveModels(trained)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(models, goldenModels) {
+			return fmt.Errorf("models differ from the fault-free run's")
+		}
+		return nil
 	}
 
 	rep, err := chaos.Soak(context.Background(), chaos.Options{
@@ -190,7 +194,7 @@ func TestSoakServeUnderLoad(t *testing.T) {
 		// server's own deadline shortly after, never left stuck.
 		client := &http.Client{Timeout: 500 * time.Millisecond}
 		var ok, rejected atomic.Int64
-		err = bothShardsN(ctx, clients, func(ctx context.Context, c int) error {
+		err = runConcurrently(ctx, clients, func(ctx context.Context, c int) error {
 			for i := 0; i < perClient; i++ {
 				body, _ := json.Marshal(serve.PointRequest{Bench: "gzip", Indices: []int{(c*perClient + i) * 97}})
 				resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
@@ -247,8 +251,9 @@ func TestSoakServeUnderLoad(t *testing.T) {
 	}
 }
 
-// bothShardsN generalizes bothShards to n concurrent workers.
-func bothShardsN(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
+// runConcurrently runs f for workers 0..n-1 concurrently and joins their
+// errors.
+func runConcurrently(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {

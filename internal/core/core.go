@@ -83,13 +83,6 @@ type Options struct {
 	// ckpt.ErrIdentity rather than silently mixed in. Results are
 	// bit-identical to an uninterrupted run.
 	Resume bool
-	// ShardSuffix is appended to this process's dataset shard checkpoint
-	// and beacon filenames. A speculative backup attempt runs with a
-	// suffix (".spec") so it computes the same identity-keyed values as
-	// the primary but never races it on files; when the backup wins, the
-	// coordinator adopts its outputs via PromoteShardCheckpoints.
-	// Identity keys are unaffected — only filenames change.
-	ShardSuffix string
 	// BatchTimeout bounds the wall time of each evaluation batch and
 	// sweep on both engines; 0 means no deadline.
 	BatchTimeout time.Duration
@@ -272,11 +265,7 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 		obs.Int("samples", int64(e.opts.TrainSamples)),
 		obs.Int("benchmarks", int64(len(e.benchmarks))))
 	defer sp.End()
-	points := e.SampleSpace.SampleUAR(e.opts.TrainSamples, e.opts.Seed)
-	configs := make([]arch.Config, len(points))
-	for i, p := range points {
-		configs[i] = e.SampleSpace.Config(p)
-	}
+	configs := e.trainConfigs()
 	for _, bench := range e.benchmarks {
 		ds, err := e.buildDataset(ctx, configs, bench)
 		if err != nil {
@@ -301,6 +290,35 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 	}
 	e.modelsBackend.Reset()
 	return nil
+}
+
+// BuildDataset simulates every benchmark's training samples into its
+// dataset checkpoint (train-<bench>.ckpt) without fitting models: the
+// `dse dataset` command. It runs the same chunked, checkpointed loop as
+// TrainContext, so a killed build resumes (with Resume) from its last
+// completed chunk, and a later Train with Resume fits the models from
+// the files without simulating. Requires CheckpointDir.
+func (e *Explorer) BuildDataset(ctx context.Context) error {
+	if e.opts.CheckpointDir == "" {
+		return fmt.Errorf("core: BuildDataset requires CheckpointDir (its output is the checkpoint files)")
+	}
+	configs := e.trainConfigs()
+	for _, bench := range e.benchmarks {
+		if _, err := e.buildDataset(ctx, configs, bench); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trainConfigs draws the run's training designs from the sampling space.
+func (e *Explorer) trainConfigs() []arch.Config {
+	points := e.SampleSpace.SampleUAR(e.opts.TrainSamples, e.opts.Seed)
+	configs := make([]arch.Config, len(points))
+	for i, p := range points {
+		configs[i] = e.SampleSpace.Config(p)
+	}
+	return configs
 }
 
 // compileBench lowers a benchmark's freshly-fitted models into the fused
@@ -370,6 +388,11 @@ func (e *Explorer) buildDataset(ctx context.Context, configs []arch.Config, benc
 		hi := lo + chunk
 		if hi > n {
 			hi = n
+		}
+		// Deterministic kill/hang site for crash drills: one visit per
+		// chunk, before any of its simulations run.
+		if err := fault.HereCtx(ctx, "core.dataset.chunk"); err != nil {
+			return nil, err
 		}
 		results, err := e.SimulateBatch(ctx, eval.RequestsFor(configs[lo:hi], bench))
 		if err != nil {

@@ -355,11 +355,14 @@ func Average(results map[string]*Result) (*SuiteAverage, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("depthstudy: no results to average")
 	}
-	var depths []int
-	for _, r := range results {
-		depths = r.depthList()
-		break
+	// Benchmarks are visited in sorted order: the geometric means sum
+	// floats, and map order would change their last bits run to run.
+	benches := make([]string, 0, len(results))
+	for b := range results {
+		benches = append(benches, b)
 	}
+	slices.Sort(benches)
+	depths := results[benches[0]].depthList()
 	nd := len(depths)
 	avg := &SuiteAverage{
 		Depths:            depths,
@@ -376,7 +379,8 @@ func Average(results map[string]*Result) (*SuiteAverage, error) {
 	simulated := true
 	for di := 0; di < nd; di++ {
 		var orig, bound, med, q1, q3, maxRel, frac, origSim, boundSim []float64
-		for _, r := range results {
+		for _, b := range benches {
+			r := results[b]
 			if len(r.Rows) != nd {
 				return nil, fmt.Errorf("depthstudy: inconsistent depth axes")
 			}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 var shared *core.Explorer
@@ -195,6 +196,51 @@ func TestAverageAggregation(t *testing.T) {
 	}
 	if !onAxis(avg.BestOriginalDepth) || !onAxis(avg.BestBoundDepth) {
 		t.Fatalf("best depths %d/%d not on axis", avg.BestOriginalDepth, avg.BestBoundDepth)
+	}
+}
+
+// syntheticSuite builds nine benchmarks' depth results with values of
+// mixed magnitude, so any change in summation order shows in the bits
+// of the averages.
+func syntheticSuite() map[string]*Result {
+	src := rng.New(5)
+	depths := []int{12, 15, 18, 21, 24, 27, 30}
+	results := make(map[string]*Result)
+	for _, bench := range []string{"ammp", "applu", "equake", "gcc", "gzip", "jbb", "mcf", "mesa", "twolf"} {
+		r := &Result{Benchmark: bench, OriginalBestEff: 1 + 10*src.Float64()}
+		for _, d := range depths {
+			v := func() float64 { return math.Exp(8 * (src.Float64() - 0.5)) }
+			r.Rows = append(r.Rows, DepthRow{
+				DepthFO4:          d,
+				OriginalModelEff:  v(),
+				OriginalSimEff:    v(),
+				BoundModelEff:     v(),
+				BoundSimEff:       v(),
+				EffBox:            stats.Boxplot{Q1: v(), Med: v(), Q3: v(), Max: v()},
+				FracBeatsBaseline: src.Float64(),
+			})
+		}
+		results[bench] = r
+	}
+	return results
+}
+
+// TestAverageBitReproducible: averaging one suite's results must give
+// the same bits on every call, whatever order the map yields them in.
+func TestAverageBitReproducible(t *testing.T) {
+	results := syntheticSuite()
+	want, err := Average(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		got, err := Average(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d averaged differently:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 

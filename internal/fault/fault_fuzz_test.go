@@ -8,7 +8,7 @@ import "testing"
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"seed=2007;eval.invoke:error:p=0.01;eval.invoke:panic:p=0.003;eval.invoke:delay:p=0.01,delay=200us",
-		"core.dataset.shard:hang:every=1,after=2,count=1",
+		"core.dataset.chunk:hang:every=1,after=2,count=1",
 		"x:flip:every=3",
 		"s:error:p=NaN",
 		"s:error:every=-1",
